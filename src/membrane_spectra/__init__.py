@@ -7,10 +7,9 @@ from .fem import (EigenSolveError, SpectralResult, assemble_mass,
                   assemble_stiffness, rayleigh_quotient, solve_dirichlet,
                   solve_neumann)
 from .mesh import (MapSample, MeshError, SurfaceMesh, Topology,
-                   boundary_loops, generate_annulus,
-                   generate_branched_double_disc, generate_conformal_disc,
-                   generate_disc, generate_spherical_cap, load_mesh,
-                   save_mesh, topology, total_area)
+                   generate_annulus, generate_branched_double_disc,
+                   generate_conformal_disc, generate_disc,
+                   generate_spherical_cap, load_mesh, save_mesh)
 from .transplant import (SphereFunctions, compute_degree,
                          dirichlet_energy, disc_map_from_positions,
                          lift_to_hemisphere, mobius, transplant_coords)
@@ -22,14 +21,14 @@ __all__ = [
     "BalanceError", "BalanceResult", "EigenSolveError", "MapSample",
     "MeshError", "SpectralResult", "SphereFunctions", "SurfaceMesh",
     "Topology", "VerificationReport", "assemble_mass", "assemble_stiffness",
-    "balance_center_of_mass", "boundary_loops", "center_of_gravity",
+    "balance_center_of_mass", "center_of_gravity",
     "check_eq3_implication", "compute_degree", "dirichlet_energy",
     "disc_map_from_positions", "generate_annulus",
     "generate_branched_double_disc", "generate_conformal_disc",
     "generate_disc", "generate_spherical_cap", "grid_search_balance",
     "lift_to_hemisphere", "load_mesh", "mobius", "rayleigh_quotient",
-    "save_mesh", "solve_dirichlet", "solve_neumann", "topology",
-    "total_area", "transplant_coords", "trial_bound_sum", "verify_eq3",
+    "save_mesh", "solve_dirichlet", "solve_neumann",
+    "transplant_coords", "trial_bound_sum", "verify_eq3",
     "verify_inequality", "verify_with_budget",
 ]
 

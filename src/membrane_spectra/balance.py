@@ -4,7 +4,8 @@ After pulling the hemisphere coordinates back through the map, the two
 equatorial coordinates must have zero mean before they qualify as
 Neumann trial functions.  A two-parameter family of disc automorphisms
 T_a suffices; this module finds the parameter a that nulls both first
-moments with a damped Newton iteration (gradient-descent fallback).
+moments with a damped Newton iteration on the closed-form Jacobian of the
+moment map.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ import numpy as np
 
 from .fem import assemble_mass
 from .mesh import MapSample, SurfaceMesh
-from .transplant import transplant_coords
+from .transplant import mobius, transplant_coords
 
 BALANCE_REL_TOL = 1e-10      # residual tolerance relative to total area
 MAX_ABS_A = 0.999999
-_FD_STEP = 1e-6
 
 
 class BalanceError(RuntimeError):
@@ -43,7 +43,29 @@ class BalanceResult:
 
 def _moments(mesh, f, a, m1):
     sf = transplant_coords(mesh, f, a)
-    return np.array([m1 @ sf.x1, m1 @ sf.x2])
+    return np.array([m1 @ sf.x1, m1 @ sf.x2]), sf
+
+
+def _jacobian(mesh, f, a, sf, m1):
+    """d(first moments)/d(Re a, Im a) at a, from the transplant sf there.
+
+    With w = T_a(z): dw/da = -1/(1 - conj(a) z), dw/d(conj a) = w z /
+    (1 - conj(a) z).  For X = x1 + i x2 an interior vertex moves by
+    dX = (1 + x3)(dw - X Re(conj(w) dw)), a boundary vertex (held on the
+    circle) by dX = i X Im(dw / w).
+    """
+    z = f.values
+    w = mobius(a, z)
+    q = 1.0 / (1.0 - np.conj(a) * z)
+    dw_da, dw_dabar = -q, w * z * q
+    X = sf.x1 + 1j * sf.x2
+    boundary = mesh.boundary_vertex_mask()
+    J = np.empty((2, 2))
+    for col, dw in enumerate((dw_da + dw_dabar, 1j * (dw_da - dw_dabar))):
+        dX = (1.0 + sf.x3) * (dw - X * (w.conj() * dw).real)
+        dX[boundary] = 1j * X[boundary] * (dw[boundary] / w[boundary]).imag
+        J[:, col] = m1 @ dX.real, m1 @ dX.imag
+    return J
 
 
 def center_of_gravity(mesh: SurfaceMesh, f: MapSample, a: complex = 0.0,
@@ -51,7 +73,7 @@ def center_of_gravity(mesh: SurfaceMesh, f: MapSample, a: complex = 0.0,
     """First moments (integral of x1, integral of x2) of the transplant,
     under consistent-mass quadrature."""
     m1 = assemble_mass(mesh) @ np.ones(mesh.vertex_count)
-    g = _moments(mesh, f, complex(a), m1)
+    g, _ = _moments(mesh, f, complex(a), m1)
     return float(g[0]), float(g[1])
 
 
@@ -60,81 +82,41 @@ def balance_center_of_mass(mesh: SurfaceMesh, f: MapSample,
                            max_iter: int = 50) -> BalanceResult:
     """Find a with ||G(a)|| <= tol_rel * area, starting from a = 0.
 
-    Damped Newton on the moment map with a finite-difference Jacobian;
+    Damped Newton on the moment map G with its closed-form Jacobian;
     steps are halved to stay inside the disc and to force a residual
-    decrease.  Falls back to 200 gradient-descent steps on ||G||^2 if
-    Newton stalls.
+    decrease.  Raises BalanceError with the best residual if Newton
+    stalls.
     """
     m1 = assemble_mass(mesh) @ np.ones(mesh.vertex_count)
     area = float(m1.sum())
     tol = tol_rel * area
 
-    def G(ac):
-        return _moments(mesh, f, ac, m1)
-
-    a = np.zeros(2)
-    g = G(0.0 + 0.0j)
+    a = 0.0 + 0.0j
+    g, sf = _moments(mesh, f, a, m1)
     gnorm = np.linalg.norm(g)
     iterations = 0
-    for _ in range(max_iter):
-        if gnorm <= tol:
-            return BalanceResult(complex(a[0], a[1]), float(gnorm), iterations)
-        J = np.empty((2, 2))
-        for col in range(2):
-            da = np.zeros(2)
-            da[col] = _FD_STEP
-            ap = a + da
-            if np.hypot(*ap) >= 1.0:
-                ap = a - da
-                J[:, col] = (g - G(complex(*ap))) / _FD_STEP
-            else:
-                J[:, col] = (G(complex(*ap)) - g) / _FD_STEP
+    while gnorm > tol and iterations < max_iter:
         try:
-            step = np.linalg.solve(J, -g)
+            step = np.linalg.solve(_jacobian(mesh, f, a, sf, m1), -g)
         except np.linalg.LinAlgError:
             break
-        improved = False
         for _halving in range(40):
-            cand = a + step
-            if np.hypot(*cand) <= MAX_ABS_A:
-                gc = G(complex(*cand))
-                gcn = np.linalg.norm(gc)
-                if gcn < gnorm:
-                    a, g, gnorm = cand, gc, gcn
-                    improved = True
+            cand = a + complex(*step)
+            if abs(cand) <= MAX_ABS_A:
+                gc, sfc = _moments(mesh, f, cand, m1)
+                if np.linalg.norm(gc) < gnorm:
                     break
             step = 0.5 * step
+        else:
+            break               # no decrease along the Newton direction
+        a, g, sf = cand, gc, sfc
+        gnorm = np.linalg.norm(g)
         iterations += 1
-        if not improved:
-            break
     if gnorm <= tol:
-        return BalanceResult(complex(a[0], a[1]), float(gnorm), iterations)
-
-    # gradient descent on ||G||^2 from the best point found
-    lr = 0.1 / area
-    for _ in range(200):
-        iterations += 1
-        J = np.empty((2, 2))
-        for col in range(2):
-            da = np.zeros(2)
-            da[col] = _FD_STEP
-            J[:, col] = (G(complex(*(a + da))) - g) / _FD_STEP
-        grad = 2.0 * J.T @ g
-        for _halving in range(40):
-            cand = a - lr * grad
-            if np.hypot(*cand) <= MAX_ABS_A:
-                gc = G(complex(*cand))
-                gcn = np.linalg.norm(gc)
-                if gcn < gnorm:
-                    a, g, gnorm = cand, gc, gcn
-                    lr *= 1.5
-                    break
-            lr *= 0.5
-        if gnorm <= tol:
-            return BalanceResult(complex(a[0], a[1]), float(gnorm), iterations)
+        return BalanceResult(a, float(gnorm), iterations)
     raise BalanceError(
         f"balancing did not converge: best residual {gnorm:.3e} "
-        f"(target {tol:.3e}) at a = {complex(a[0], a[1])}")
+        f"(target {tol:.3e}) at a = {a}")
 
 
 def grid_search_balance(mesh: SurfaceMesh, f: MapSample, n: int = 101,

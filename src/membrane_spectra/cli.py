@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import click
 import numpy as np
 
-from . import fem, mesh as meshmod, verify as verifymod
+from . import fem, fixtures, mesh as meshmod, verify as verifymod
 from .transplant import disc_map_from_positions, identity_map_from_positions
 
 
@@ -28,62 +28,13 @@ def _dump(path, doc):
             fh.write(text)
 
 
-def random_log_factor(seed: int, amplitude: float = 1.0):
-    """Smooth random conformal log-factor, bounded by `amplitude`.
-
-    A low-order harmonic polynomial in z with seeded coefficients,
-    rescaled so that max |phi| over the disc equals `amplitude`.
-    """
-    rng = np.random.default_rng(seed)
-    coeff = rng.standard_normal(6)
-
-    def phi(z):
-        z = np.asarray(z, dtype=complex)
-        raw = (coeff[0] * z.real + coeff[1] * z.imag
-               + coeff[2] * (z ** 2).real + coeff[3] * (z ** 2).imag
-               + coeff[4] * (z ** 3).real + coeff[5] * (z ** 3).imag)
-        # bound on the closed disc: |Re z^k|, |Im z^k| <= 1
-        bound = np.sum(np.abs(coeff))
-        return amplitude * raw / bound
-
-    return phi
-
-
-def gaussian_bump_log_factor(center: complex = 0.5, amplitude: float = 1.0,
-                             width: float = 0.3):
-    def phi(z):
-        z = np.asarray(z, dtype=complex)
-        return amplitude * np.exp(-(np.abs(z - center) ** 2) / (2.0 * width ** 2))
-
-    return phi
-
-
-def _generate(shape, resolution, colatitude, inner_radius, seed, amplitude):
-    if shape == "disc":
-        m = meshmod.generate_disc(resolution)
-        return m, identity_map_from_positions(m)
-    if shape == "cap":
-        m = meshmod.generate_spherical_cap(colatitude, resolution)
-        return m, disc_map_from_positions(m)
-    if shape == "annulus":
-        return meshmod.generate_annulus(inner_radius, resolution), None
-    if shape == "branched-disc":
-        return meshmod.generate_branched_double_disc(resolution)
-    if shape == "conformal-disc":
-        return meshmod.generate_conformal_disc(
-            resolution, random_log_factor(seed, amplitude))
-    raise ValueError(f"unknown shape {shape!r}")
-
-
 @click.group()
 def main():
     """Spectra and eigenvalue-inequality verification for bordered surfaces."""
 
 
 @main.command()
-@click.option("--shape", required=True,
-              type=click.Choice(["disc", "cap", "annulus", "branched-disc",
-                                 "conformal-disc"]))
+@click.option("--shape", required=True, type=click.Choice(fixtures.SHAPES))
 @click.option("--resolution", type=int, required=True)
 @click.option("--colatitude", type=float, default=np.pi / 2,
               help="cap polar angle in radians")
@@ -95,8 +46,9 @@ def main():
 def gen(shape, resolution, colatitude, inner_radius, seed, amplitude, out):
     """Generate a fixture mesh (with its map, when the shape defines one)."""
     try:
-        m, f = _generate(shape, resolution, colatitude, inner_radius, seed,
-                         amplitude)
+        m, f = fixtures.build(shape, resolution, colatitude=colatitude,
+                              inner_radius=inner_radius, seed=seed,
+                              amplitude=amplitude)
         _dump(out, meshmod.mesh_to_json_dict(m, f))
     except (ValueError, RuntimeError) as exc:
         _fail(str(exc))
@@ -168,30 +120,9 @@ def _append_csv(path, rows):
         fh.write(text)
 
 
-BATCH_FIXTURES = ["disc", "hemisphere", "cap-pi6", "cap-pi3",
-                  "conformal-0", "conformal-1", "branched"]
-
-
-def _batch_instance(name, resolution):
-    if name == "disc":
-        m = meshmod.generate_disc(resolution)
-        return m, identity_map_from_positions(m)
-    if name == "hemisphere":
-        m = meshmod.generate_spherical_cap(np.pi / 2, resolution)
-        return m, disc_map_from_positions(m)
-    if name == "cap-pi6":
-        m = meshmod.generate_spherical_cap(np.pi / 6, resolution)
-        return m, disc_map_from_positions(m)
-    if name == "cap-pi3":
-        m = meshmod.generate_spherical_cap(np.pi / 3, resolution)
-        return m, disc_map_from_positions(m)
-    if name.startswith("conformal-"):
-        seed = int(name.split("-")[1])
-        return meshmod.generate_conformal_disc(resolution,
-                                               random_log_factor(seed))
-    if name == "branched":
-        return meshmod.generate_branched_double_disc(resolution)
-    raise ValueError(f"unknown fixture {name!r}")
+# perfbench/workloads.py imports both names from this module
+BATCH_FIXTURES = fixtures.BATTERY
+_batch_instance = fixtures.instance
 
 
 @main.command()
@@ -204,15 +135,19 @@ def batch(refine_levels, base_resolution, csv_path, out):
     """Run the built-in fixture suite across refinement levels."""
     if refine_levels < 1:
         _fail("refine-levels must be >= 1", code=2)
+    threads = os.environ.get("MEMBRANE_SPECTRA_THREADS", "1")
+    try:
+        workers = int(threads)
+    except ValueError:
+        _fail(f"MEMBRANE_SPECTRA_THREADS must be an integer, got {threads!r}",
+              code=2)
     jobs = [(name, level, base_resolution * 2 ** level)
-            for name in BATCH_FIXTURES for level in range(refine_levels)]
+            for name in fixtures.BATTERY for level in range(refine_levels)]
 
     def run(job):
         name, level, res = job
-        m, f = _batch_instance(name, res)
-        return job, verifymod.verify_inequality(m, f)
+        return job, verifymod.verify_inequality(*fixtures.instance(name, res))
 
-    workers = int(os.environ.get("MEMBRANE_SPECTRA_THREADS", "1"))
     try:
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -230,13 +165,7 @@ def batch(refine_levels, base_resolution, csv_path, out):
     for (name, level, res), report in results:
         prev = by_fixture[name].get(level - 1)
         if prev is not None:
-            report.eps_fem = {
-                "slack2": 2.0 * abs(report.slack2 - prev.slack2),
-                "slack3": 2.0 * abs(report.slack3 - prev.slack3),
-                "upper": 2.0 * abs(report.margin_upper() - prev.margin_upper()),
-                "lower": 2.0 * abs(report.margin_lower() - prev.margin_lower()),
-                "coarse_resolution": prev.mesh_resolution,
-            }
+            report.eps_fem = verifymod.richardson_budget(report, prev)
         rows.append(report.csv_row(fixture=name, level=level))
         docs[f"{name}:{level}"] = report.to_json_dict()
     with open(csv_path, "w") as fh:

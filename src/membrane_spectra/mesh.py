@@ -425,19 +425,6 @@ def generate_conformal_disc(rings: int, log_factor) -> tuple[SurfaceMesh, MapSam
     return mesh, MapSample(z, 1)
 
 
-# module-level aliases matching the operation names
-def boundary_loops(mesh: SurfaceMesh) -> list[list[int]]:
-    return mesh.boundary_loops()
-
-
-def total_area(mesh: SurfaceMesh) -> float:
-    return mesh.total_area()
-
-
-def topology(mesh: SurfaceMesh) -> Topology:
-    return mesh.topology()
-
-
 # -- JSON interchange --------------------------------------------------------
 
 def mesh_to_json_dict(mesh: SurfaceMesh, map_sample: MapSample | None = None) -> dict:

@@ -26,6 +26,7 @@ from .mesh import MapSample, SurfaceMesh
 from .transplant import compute_degree, transplant_coords
 
 FOUR_PI_3 = 4.0 * np.pi / 3.0
+SAFETY = 2.0     # Richardson budget: this many times the two-level change
 
 CSV_FIELDS = [
     "fixture", "level", "mesh_resolution", "area", "degree",
@@ -115,13 +116,12 @@ class VerificationReport:
 
 
 def trial_bound_sum(mesh: SurfaceMesh, f: MapSample, a: complex,
-                    balance_tol_rel: float = 1e-8,
                     K=None, M=None) -> float:
     """Sum of reciprocal Rayleigh quotients of the balanced transplants.
 
-    The parameter a must already balance the center of gravity (checked,
-    since unbalanced equatorial coordinates are inadmissible Neumann
-    trials).  The two Neumann trials are projected to exact zero M-mean
+    The parameter a must already balance the center of gravity to 1e-8
+    times the area (checked, since unbalanced equatorial coordinates are
+    inadmissible Neumann trials).  The two Neumann trials are projected to exact zero M-mean
     and rotated into an M-orthogonal pair, so the discrete reciprocal-sum
     bound applies verbatim.
     """
@@ -135,10 +135,10 @@ def trial_bound_sum(mesh: SurfaceMesh, f: MapSample, a: complex,
 
     g1, g2 = center_of_gravity(mesh, f, a)
     residual = float(np.hypot(g1, g2))
-    if residual > balance_tol_rel * area:
+    if residual > 1e-8 * area:
         raise ValueError(
             f"parameter a={a} is not balanced: center-of-gravity residual "
-            f"{residual:.3e} exceeds {balance_tol_rel:.0e} * area")
+            f"{residual:.3e} exceeds 1e-08 * area")
 
     sf = transplant_coords(mesh, f, a)
     v1 = sf.x1 - (m1 @ sf.x1) / area
@@ -185,8 +185,7 @@ def check_eq3_implication(report: VerificationReport,
 
 
 def verify_inequality(mesh: SurfaceMesh, f: MapSample,
-                      degree: int | str = "auto",
-                      method: str = "auto") -> VerificationReport:
+                      degree: int | str = "auto") -> VerificationReport:
     """Run the full pipeline and fill a VerificationReport.
 
     degree="auto" estimates the covering degree from the map's Jacobian
@@ -200,8 +199,8 @@ def verify_inequality(mesh: SurfaceMesh, f: MapSample,
         if d < 1:
             raise ValueError("degree must be a positive integer")
 
-    dirichlet = fem.solve_dirichlet(mesh, 1, method=method)
-    neumann = fem.solve_neumann(mesh, 2, method=method)
+    dirichlet = fem.solve_dirichlet(mesh, 1)
+    neumann = fem.solve_neumann(mesh, 2)
     lam1 = float(dirichlet.eigenvalues[0])
     mu1, mu2 = float(neumann.eigenvalues[0]), float(neumann.eigenvalues[1])
 
@@ -224,31 +223,37 @@ def verify_inequality(mesh: SurfaceMesh, f: MapSample,
     return report
 
 
-def verify_with_budget(make_instance, resolution: int,
-                       coarse_resolution: int | None = None,
-                       degree: int | str = "auto",
-                       method: str = "auto",
-                       safety: float = 2.0) -> VerificationReport:
-    """Verify at two resolutions and attach a Richardson error budget.
-
-    `make_instance(resolution)` must return a (mesh, map) pair.  The
-    budget for each inequality margin is `safety` times the change of
-    that margin between the coarse and fine runs; the fine report is
-    returned with eps_fem filled in.
-    """
-    if coarse_resolution is None:
-        coarse_resolution = max(1, resolution // 2)
-    fine = verify_inequality(*make_instance(resolution), degree=degree,
-                             method=method)
-    coarse = verify_inequality(*make_instance(coarse_resolution), degree=degree,
-                               method=method)
-    fine.eps_fem = {
-        "slack2": safety * abs(fine.slack2 - coarse.slack2),
-        "slack3": safety * abs(fine.slack3 - coarse.slack3),
-        "upper": safety * abs(fine.margin_upper() - coarse.margin_upper()),
-        "lower": safety * abs(fine.margin_lower() - coarse.margin_lower()),
+def richardson_budget(fine: VerificationReport,
+                      coarse: VerificationReport) -> dict:
+    """Two-level Richardson budget of each inequality margin: SAFETY times
+    the change of that margin between the coarse and the fine report."""
+    if fine.mesh_resolution == coarse.mesh_resolution:
+        raise ValueError(
+            f"Richardson budget needs two distinct levels: fine level "
+            f"{fine.mesh_resolution} equals coarse level "
+            f"{coarse.mesh_resolution}")
+    return {
+        "slack2": SAFETY * abs(fine.slack2 - coarse.slack2),
+        "slack3": SAFETY * abs(fine.slack3 - coarse.slack3),
+        "upper": SAFETY * abs(fine.margin_upper() - coarse.margin_upper()),
+        "lower": SAFETY * abs(fine.margin_lower() - coarse.margin_lower()),
         "coarse_resolution": coarse.mesh_resolution,
     }
+
+
+def verify_with_budget(make_instance, resolution: int) -> VerificationReport:
+    """Verify at `resolution` and at `resolution // 2`, and return the fine
+    report with its Richardson budget in eps_fem.
+
+    `make_instance(resolution)` must return a (mesh, map) pair.
+    """
+    if resolution < 2:
+        raise ValueError(
+            f"Richardson budget needs resolution >= 2: fine level "
+            f"{resolution} has coarse level {resolution // 2}")
+    fine = verify_inequality(*make_instance(resolution))
+    coarse = verify_inequality(*make_instance(resolution // 2))
+    fine.eps_fem = richardson_budget(fine, coarse)
     return fine
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import membrane_spectra as ms
-from membrane_spectra.cli import gaussian_bump_log_factor, random_log_factor
+from membrane_spectra.fixtures import gaussian_bump_log_factor
 
 J0_ZERO = 2.4048255576      # first positive zero of J0
 J1P_ZERO = 1.8411837813     # first positive zero of J1'

@@ -6,14 +6,13 @@ verification reports) are shared through module-scoped fixtures.
 """
 
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 
 import membrane_spectra as ms
-from membrane_spectra.cli import random_log_factor
-from membrane_spectra.transplant import (disc_map_from_positions,
-                                         identity_map_from_positions)
+from membrane_spectra import fixtures
 
 from conftest import J0_ZERO, J1P_ZERO
 
@@ -58,22 +57,13 @@ def fine_disc_spectra():
 
 
 def _fixture_factories():
-    """name -> callable(resolution) -> (mesh, map) for the fixture battery."""
-    factories = {
-        "disc": lambda r: (lambda m: (m, identity_map_from_positions(m)))(
-            ms.generate_disc(r)),
-        "branched": lambda r: ms.generate_branched_double_disc(r),
-    }
-    for label, theta in (("cap-pi6", np.pi / 6), ("cap-pi3", np.pi / 3),
-                         ("cap-pi2", np.pi / 2)):
-        factories[label] = (
-            lambda r, t=theta: (lambda m: (m, disc_map_from_positions(m)))(
-                ms.generate_spherical_cap(t, r)))
-    for seed in range(N_RANDOM_DISCS):
-        factories[f"conformal-{seed:02d}"] = (
-            lambda r, s=seed: ms.generate_conformal_disc(
-                r, random_log_factor(s)))
-    return factories
+    """label -> callable(resolution) -> (mesh, map) for the fixture battery."""
+    names = {"disc": "disc", "branched": "branched", "cap-pi6": "cap-pi6",
+             "cap-pi3": "cap-pi3", "cap-pi2": "hemisphere"}
+    names.update({f"conformal-{seed:02d}": f"conformal-{seed}"
+                  for seed in range(N_RANDOM_DISCS)})
+    return {label: partial(fixtures.instance, name)
+            for label, name in names.items()}
 
 
 @pytest.fixture(scope="module")
@@ -127,8 +117,7 @@ def test_03_hemisphere_eigenvalues(_criterion):
 def test_04_hemisphere_equality_case(_criterion):
     slacks = []
     for res in (12, 24, 48):
-        mesh = ms.generate_spherical_cap(np.pi / 2, res)
-        rep = ms.verify_inequality(mesh, disc_map_from_positions(mesh))
+        rep = ms.verify_inequality(*fixtures.instance("hemisphere", res))
         slacks.append(abs(rep.slack2) / rep.rhs2)
     decreasing = all(b < a for a, b in zip(slacks, slacks[1:]))
     _criterion(4, "hemisphere slack2 -> 0 under refinement",
@@ -161,13 +150,10 @@ def test_06_inequality3_on_battery(budget_reports, _criterion):
 def test_07_conformal_invariance_of_energies(_criterion):
     ok = True
     details = []
-    for label, degree, make in (
-            ("disc", 1, lambda r: (lambda m: (
-                m, identity_map_from_positions(m)))(ms.generate_disc(r))),
-            ("branched", 2, ms.generate_branched_double_disc)):
+    for label, degree in (("disc", 1), ("branched", 2)):
         errs = []
         for rings in (8, 16, 32):
-            mesh, f = make(rings)
+            mesh, f = fixtures.instance(label, rings)
             sf = ms.transplant_coords(mesh, f, 0.0)
             K = ms.assemble_stiffness(mesh)
             errs.append(max(
@@ -182,14 +168,8 @@ def test_07_conformal_invariance_of_energies(_criterion):
 
 def test_08_pointwise_norm_identity(_criterion):
     worst = 0.0
-    cases = [
-        (lambda m: (m, identity_map_from_positions(m)))(ms.generate_disc(12)),
-        (lambda m: (m, disc_map_from_positions(m)))(
-            ms.generate_spherical_cap(np.pi / 3, 12)),
-        ms.generate_branched_double_disc(12),
-        ms.generate_conformal_disc(12, random_log_factor(1)),
-    ]
-    for mesh, f in cases:
+    for name in ("disc", "cap-pi3", "branched", "conformal-1"):
+        mesh, f = fixtures.instance(name, 12)
         for a in (0.0, 0.3 + 0.4j, -0.6j, 0.9):
             sf = ms.transplant_coords(mesh, f, a)
             worst = max(worst, float(np.max(np.abs(
@@ -269,7 +249,7 @@ def test_11_oracle_equivalence(_criterion):
 
 
 def test_12_scale_invariance(_criterion):
-    mesh, f = ms.generate_conformal_disc(12, random_log_factor(4))
+    mesh, f = fixtures.instance("conformal-4", 12)
     base = ms.verify_inequality(mesh, f, degree=1)
     worst = 0.0
     for c in (0.1, 3.0):

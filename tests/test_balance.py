@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import membrane_spectra as ms
+from membrane_spectra import balance, fixtures
 from membrane_spectra.balance import BalanceError
 from membrane_spectra.transplant import (disc_map_from_positions,
                                          identity_map_from_positions)
@@ -28,6 +29,23 @@ class TestCenterOfGravity:
         assert abs(g2) < 0.1 * abs(g1)  # zipper breaks exact mirror symmetry
 
 
+class TestJacobian:
+    @pytest.mark.parametrize("a", [0.0, 0.3 + 0.4j, -0.8j])
+    @pytest.mark.parametrize("name", ["bump_disc12", "branched12"])
+    def test_closed_form_matches_central_differences(self, request, name, a):
+        mesh, f = request.getfixturevalue(name)
+        m1 = ms.assemble_mass(mesh) @ np.ones(mesh.vertex_count)
+        _, sf = balance._moments(mesh, f, a, m1)
+        J = balance._jacobian(mesh, f, a, sf, m1)
+        h = 1e-6
+        fd = np.empty((2, 2))
+        for col, da in enumerate((h, 1j * h)):
+            gp, _ = balance._moments(mesh, f, a + da, m1)
+            gm, _ = balance._moments(mesh, f, a - da, m1)
+            fd[:, col] = (gp - gm) / (2 * h)
+        assert np.linalg.norm(J - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
 class TestBalance:
     def test_symmetric_disc_immediate(self, disc8):
         f = identity_map_from_positions(disc8)
@@ -52,8 +70,7 @@ class TestBalance:
         assert abs(res.a - a_grid) <= 2 * GRID_SPACING
 
     def test_random_conformal_disc_grid_agreement(self):
-        from membrane_spectra.cli import random_log_factor
-        mesh, f = ms.generate_conformal_disc(10, random_log_factor(5))
+        mesh, f = fixtures.instance("conformal-5", 10)
         res = ms.balance_center_of_mass(mesh, f)
         assert res.residual <= 1e-10 * mesh.total_area()
         a_grid, _ = ms.grid_search_balance(mesh, f)

@@ -1,8 +1,10 @@
 import json
+from functools import partial
 
 import pytest
 from click.testing import CliRunner
 
+from membrane_spectra import fixtures, verify_with_budget
 from membrane_spectra.cli import main
 
 
@@ -20,7 +22,7 @@ def test_gen_disc_topology(tmp_path, runner):
     assert "vertices" in doc and "triangles" in doc and "map" in doc
     import membrane_spectra as ms
     mesh, f = ms.mesh.mesh_from_json_dict(doc)
-    assert ms.topology(mesh) == ms.Topology(0, 1, 1)
+    assert mesh.topology() == ms.Topology(0, 1, 1)
     assert f.degree == 1
 
 
@@ -132,3 +134,25 @@ def test_batch_slack_table(tmp_path, runner):
         if cells[icols["level"]] == "1":
             assert eps != ""
             assert slack2 >= -float(eps)
+
+
+def test_batch_budget_matches_verify_with_budget(tmp_path, runner):
+    out = tmp_path / "reports.json"
+    result = runner.invoke(main, ["batch", "--refine-levels", "2",
+                                  "--base-resolution", "6",
+                                  "--csv", str(tmp_path / "slack.csv"),
+                                  "--out", str(out)],
+                           env={"MEMBRANE_SPECTRA_THREADS": "1"})
+    assert result.exit_code == 0, result.output
+    fine = json.loads(out.read_text())["cap-pi3:1"]
+    rep = verify_with_budget(partial(fixtures.instance, "cap-pi3"), 12)
+    assert fine["eps_fem"] == rep.eps_fem
+
+
+def test_batch_rejects_non_integer_thread_count(tmp_path, runner):
+    result = runner.invoke(main, ["batch", "--csv", str(tmp_path / "s.csv")],
+                           env={"MEMBRANE_SPECTRA_THREADS": "two"})
+    assert result.exit_code == 2
+    error = json.loads(result.stderr)["error"]
+    assert "MEMBRANE_SPECTRA_THREADS" in error and "'two'" in error
+    assert not (tmp_path / "s.csv").exists()

@@ -33,7 +33,7 @@ class TestGenerateDisc:
 
     @pytest.mark.parametrize("rings", [1, 3, 8])
     def test_topology(self, rings):
-        t = ms.topology(ms.generate_disc(rings))
+        t = ms.generate_disc(rings).topology()
         assert t == ms.Topology(genus_p=0, contours_r=1, euler_characteristic=1)
 
     def test_rejects_bad_rings(self):
@@ -52,7 +52,7 @@ class TestGenerateSphericalCap:
         assert cap_area(np.pi / 3) == pytest.approx(np.pi)
 
     def test_topology(self, hemisphere16):
-        assert ms.topology(hemisphere16) == ms.Topology(0, 1, 1)
+        assert hemisphere16.topology() == ms.Topology(0, 1, 1)
 
     @pytest.mark.parametrize("bad", [0.0, np.pi, -1.0, 4.0])
     def test_rejects_colatitude(self, bad):
@@ -67,8 +67,8 @@ class TestGenerateAnnulus:
 
     def test_topology_two_contours(self):
         m = ms.generate_annulus(0.5, 4)
-        assert ms.topology(m) == ms.Topology(0, 2, 0)
-        assert len(ms.boundary_loops(m)) == 2
+        assert m.topology() == ms.Topology(0, 2, 0)
+        assert len(m.boundary_loops()) == 2
 
     def test_second_order_area_convergence(self):
         exact = np.pi * 0.75
@@ -95,7 +95,7 @@ class TestBranchedDoubleDisc:
         assert ms.compute_degree(mesh, f.values) == 2
 
     def test_topology_still_a_disc(self, branched12):
-        assert ms.topology(branched12[0]) == ms.Topology(0, 1, 1)
+        assert branched12[0].topology() == ms.Topology(0, 1, 1)
 
     def test_cone_angle_at_origin(self):
         # angles of triangles incident to the center vertex sum to ~4 pi
@@ -142,18 +142,18 @@ class TestConformalDisc:
 
 class TestBoundaryLoops:
     def test_disc_one_loop(self):
-        loops = ms.boundary_loops(ms.generate_disc(4))
+        loops = ms.generate_disc(4).boundary_loops()
         assert len(loops) == 1
         assert len(loops[0]) == 24
 
     def test_two_triangle_square(self):
         pos = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
         m = ms.SurfaceMesh([[0, 1, 2], [0, 2, 3]], positions=pos)
-        (loop,) = ms.boundary_loops(m)
+        (loop,) = m.boundary_loops()
         assert sorted(loop) == [0, 1, 2, 3]
 
     def test_boundary_edges_partitioned(self, disc8):
-        loops = ms.boundary_loops(disc8)
+        loops = disc8.boundary_loops()
         loop_edges = set()
         for loop in loops:
             for u, v in zip(loop, loop[1:] + loop[:1]):
@@ -169,7 +169,7 @@ class TestBoundaryLoops:
         tris = [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]]
         m = ms.SurfaceMesh(tris, positions=pos)
         with pytest.raises(MeshError, match="closed"):
-            ms.boundary_loops(m)
+            m.boundary_loops()
 
 
 class TestTotalArea:
@@ -199,7 +199,7 @@ class TestTopologyOp:
         annulus = ms.generate_annulus(0.4, 6)
         branched, _ = ms.generate_branched_double_disc(6)
         for m in (disc8, hemisphere16, annulus, branched):
-            t = ms.topology(m)
+            t = m.topology()
             V, E, F = m.vertex_count, m.edge_count, m.triangles.shape[0]
             assert t.euler_characteristic == V - E + F
             assert t.euler_characteristic == 2 - 2 * t.genus_p - t.contours_r
@@ -230,7 +230,7 @@ class TestTopologyOp:
                 v = ((i + 1) % n) * n + (j + 1) % n
                 lens[(min(u, v), max(u, v))] = np.sqrt(2.0)
         m = ms.SurfaceMesh(np.array(tris), edge_lengths=lens)
-        t = ms.topology(m)
+        t = m.topology()
         assert t == ms.Topology(genus_p=1, contours_r=1,
                                 euler_characteristic=-1)
 
@@ -270,7 +270,7 @@ class TestJsonInterchange:
         m2, f = ms.load_mesh(path)
         assert f is None
         assert m2.total_area() == pytest.approx(disc8.total_area(), rel=1e-15)
-        assert ms.topology(m2) == ms.topology(disc8)
+        assert m2.topology() == disc8.topology()
 
     def test_roundtrip_intrinsic_with_map(self, tmp_path, branched12):
         mesh, f = branched12
@@ -298,4 +298,4 @@ class TestJsonInterchange:
 def test_square_fixture_valid():
     m = square_mesh(4)
     assert m.total_area() == pytest.approx(1.0, rel=1e-14)
-    assert ms.topology(m) == ms.Topology(0, 1, 1)
+    assert m.topology() == ms.Topology(0, 1, 1)

@@ -1,11 +1,15 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 import membrane_spectra as ms
+from membrane_spectra import fixtures
 from membrane_spectra.transplant import (disc_map_from_positions,
                                          identity_map_from_positions)
 from membrane_spectra.verify import (FOUR_PI_3, VerificationReport,
-                                     check_eq3_implication, reports_to_csv)
+                                     check_eq3_implication, reports_to_csv,
+                                     richardson_budget)
 
 from conftest import J0_ZERO, J1P_ZERO
 
@@ -148,3 +152,15 @@ class TestRichardsonBudget:
         assert len(lines) == 2
         assert lines[0].startswith("fixture,level,")
         assert lines[1].startswith("cap-pi3,0,")
+
+    def test_rejects_resolution_without_coarser_level(self):
+        with pytest.raises(ValueError,
+                           match="fine level 1 has coarse level 0"):
+            ms.verify_with_budget(partial(fixtures.instance, "disc"), 1)
+
+    def test_rejects_equal_levels(self):
+        rep = ms.verify_inequality(*fixtures.instance("disc", 8))
+        with pytest.raises(ValueError, match=(
+                f"fine level {rep.mesh_resolution} equals coarse level "
+                f"{rep.mesh_resolution}")):
+            richardson_budget(rep, rep)
