@@ -4,7 +4,11 @@ Stiffness weights are cotangents recovered from edge lengths alone via
 the law of cosines, so the assembly works for metrics without an
 embedding.  Dirichlet problems are solved on the interior vertices;
 Neumann problems on the full matrices with the zero mode detected and
-excluded.
+excluded.  Problems of up to `DENSE_CUTOFF` dofs use dense `eigh`;
+larger ones use shift-invert Lanczos (`eigsh`), whose start vector is
+drawn from a fixed seed so that repeated solves agree to the last bit.
+Residuals are normalized by the eigenvalue, so every check is invariant
+under rescaling the metric.
 """
 
 from __future__ import annotations
@@ -14,12 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 from scipy.sparse import coo_matrix, csr_matrix
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import ArpackError, eigsh
 
 from .mesh import SurfaceMesh
 
-DENSE_CUTOFF = 3000          # dofs above which the sparse path is used
-RESIDUAL_TOL = 1e-8          # ||K u - lam M u|| / ||M u||
+DENSE_CUTOFF = 300           # dofs above which the sparse path is used
+RESIDUAL_TOL = 1e-8          # ||K u - lam M u|| / (lam ||M u||)
+ZERO_FLOOR_REL = 1e-12       # zero-mode floor relative to trace(K)/trace(M)
 ZERO_MODE_REL = 1e-8         # zero-mode threshold relative to mu_reference
 
 
@@ -34,7 +39,7 @@ class SpectralResult:
     boundary_condition: str          # "dirichlet" | "neumann"
     eigenvalues: np.ndarray          # ascending, shape (k,)
     eigenfunctions: np.ndarray       # shape (V, k)
-    residuals: np.ndarray            # per-pair relative residuals
+    residuals: np.ndarray            # per-pair, relative to lam ||M u||
     mesh_id: str
     zero_mode_gap: float | None = None   # neumann only: mu_1 - mu_0
 
@@ -110,6 +115,11 @@ def assemble_mass(mesh: SurfaceMesh, lumped: bool = False) -> csr_matrix:
     return M
 
 
+def _spectral_scale(K, M) -> float:
+    """trace(K) / trace(M): an eigenvalue scale that moves with the metric."""
+    return K.diagonal().sum() / M.diagonal().sum()
+
+
 def _solve_gevp(K, M, k: int, method: str = "auto"):
     """k smallest eigenpairs of K u = lam M u (both sparse, M > 0)."""
     n = K.shape[0]
@@ -126,7 +136,17 @@ def _solve_gevp(K, M, k: int, method: str = "auto"):
         # shift slightly below the spectrum; scaled with the metric so the
         # solve is invariant under global rescaling of edge lengths
         sigma = -0.1 / M.sum()
-        vals, vecs = eigsh(K.tocsc(), k=k, M=M.tocsc(), sigma=sigma)
+        try:
+            vals, vecs = eigsh(K.tocsc(), k=k, M=M.tocsc(), sigma=sigma,
+                               rng=0)
+        except RuntimeError as exc:
+            # ARPACK raises ArpackError (ArpackNoConvergence included);
+            # SuperLU reports a singular shifted matrix as a RuntimeError
+            if not isinstance(exc, ArpackError) and "singular" not in str(exc):
+                raise
+            raise EigenSolveError(
+                f"shift-invert Lanczos failed on n={n} dofs, k={k}, "
+                f"sigma={sigma:.6e}: {exc}") from exc
     else:
         raise ValueError(f"unknown eigensolver method {method!r}")
     order = np.argsort(vals)
@@ -137,7 +157,12 @@ def _solve_gevp(K, M, k: int, method: str = "auto"):
     norms = np.sqrt(np.einsum("ij,ij->j", vecs, mv))
     vecs = vecs / norms
     mv = mv / norms
-    res = np.linalg.norm(K @ vecs - vals * mv, axis=0) / np.linalg.norm(mv, axis=0)
+    # relative to the eigenvalue; the zero mode is measured against the
+    # spectrum's scale instead
+    scale = _spectral_scale(K, M)
+    lam = np.where(vals > ZERO_FLOOR_REL * scale, vals, scale)
+    res = (np.linalg.norm(K @ vecs - vals * mv, axis=0)
+           / (lam * np.linalg.norm(mv, axis=0)))
     if np.max(res) > RESIDUAL_TOL:
         raise EigenSolveError(
             f"eigensolver residuals too large: max {np.max(res):.3e} "
@@ -181,9 +206,7 @@ def solve_neumann(mesh: SurfaceMesh, k: int, method: str = "auto",
     M = assemble_mass(mesh, lumped=lumped)
     vals, vecs, res = _solve_gevp(K, M, k + 2, method)
 
-    scale = K.diagonal().sum() / M.diagonal().sum()
-    floor = 1e-12 * scale
-    above = vals > floor
+    above = vals > ZERO_FLOOR_REL * _spectral_scale(K, M)
     if not above.any():
         raise EigenSolveError("no eigenvalue above the zero-mode floor")
     mu_ref = vals[above][0]

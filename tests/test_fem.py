@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
+from scipy.sparse.linalg import ArpackNoConvergence
 
 import membrane_spectra as ms
+from membrane_spectra import fem, fixtures
 from membrane_spectra.fem import EigenSolveError
 
 from conftest import J0_ZERO, J1P_ZERO, square_mesh
@@ -236,6 +238,20 @@ class TestVariationalProperties:
         assert scaled.total_area() == pytest.approx(c ** 2 * disc8.total_area(),
                                                     rel=1e-12)
 
+    @pytest.mark.parametrize("method", ["dense", "sparse"])
+    @pytest.mark.parametrize("c", [1e-4, 1e-2, 1e2, 1e4])
+    def test_metric_scaling_extremes(self, disc16, c, method):
+        # the residual check is relative to lambda, so it neither rejects
+        # small metrics nor passes vacuously on large ones
+        scaled = disc16.scaled(c)
+        for solve in (ms.solve_dirichlet, ms.solve_neumann):
+            r1 = solve(disc16, 2, method=method)
+            r2 = solve(scaled, 2, method=method)
+            np.testing.assert_allclose(r2.eigenvalues * c ** 2, r1.eigenvalues,
+                                       rtol=1e-10)
+            ratio = np.max(r2.residuals) / np.max(r1.residuals)
+            assert 0.1 < ratio < 10.0
+
 
 class TestSolverAgreement:
     def test_dense_vs_sparse(self):
@@ -244,6 +260,59 @@ class TestSolverAgreement:
             dense = solve(m, 3, method="dense").eigenvalues
             sparse = solve(m, 3, method="sparse").eigenvalues
             np.testing.assert_allclose(sparse, dense, rtol=1e-7)
+
+    def test_sparse_is_deterministic(self):
+        m = ms.generate_disc(24)
+        a = ms.solve_neumann(m, 2, method="sparse")
+        b = ms.solve_neumann(m, 2, method="sparse")
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.eigenfunctions, b.eigenfunctions)
+
+    @pytest.mark.parametrize("error", [
+        ArpackNoConvergence("ARPACK error -1: No convergence",
+                            np.empty(0), np.empty((0, 0))),
+        RuntimeError("Factor is exactly singular"),
+    ])
+    def test_sparse_failure_is_typed(self, disc8, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(fem, "eigsh", fail)
+        n = disc8.interior_vertex_indices().size
+        with pytest.raises(EigenSolveError,
+                           match=rf"n={n} dofs, k=1, sigma=-\S+: "):
+            ms.solve_dirichlet(disc8, 1, method="sparse")
+
+    def test_other_runtime_errors_propagate(self, disc8, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("unrelated")
+
+        monkeypatch.setattr(fem, "eigsh", fail)
+        with pytest.raises(RuntimeError, match="unrelated") as info:
+            ms.solve_dirichlet(disc8, 1, method="sparse")
+        assert not isinstance(info.value, EigenSolveError)
+
+    @pytest.mark.parametrize("rings, dense, sparse", [(4, 2, 0), (12, 0, 2)])
+    def test_solver_path(self, monkeypatch, rings, dense, sparse):
+        calls = {"eigh": 0, "eigsh": 0}
+        for name in calls:
+            original = getattr(fem, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(fem, name, counted)
+        ms.verify_inequality(*fixtures.instance("disc", rings))
+        assert calls == {"eigh": dense, "eigsh": sparse}
+
+    @pytest.mark.parametrize("name", fixtures.BATTERY)
+    def test_auto_matches_dense_on_battery(self, name):
+        m, _ = fixtures.instance(name, 12)
+        for solve, k in ((ms.solve_dirichlet, 1), (ms.solve_neumann, 2)):
+            np.testing.assert_allclose(solve(m, k).eigenvalues,
+                                       solve(m, k, method="dense").eigenvalues,
+                                       rtol=1e-9)
 
     def test_lumped_mass_flag(self, disc16):
         lam_consistent = ms.solve_dirichlet(disc16, 1).eigenvalues[0]
