@@ -42,14 +42,15 @@ def main():
 @click.option("--seed", type=int, default=0, help="conformal-disc RNG seed")
 @click.option("--amplitude", type=float, default=1.0,
               help="bound on the conformal log-factor")
-@click.option("--out", type=click.Path(), required=True)
+@click.option("--out", type=click.Path(), required=True,
+              help="mesh JSON file, or '-' for stdout")
 def gen(shape, resolution, colatitude, inner_radius, seed, amplitude, out):
     """Generate a fixture mesh (with its map, when the shape defines one)."""
     try:
         m, f = fixtures.build(shape, resolution, colatitude=colatitude,
                               inner_radius=inner_radius, seed=seed,
                               amplitude=amplitude)
-        _dump(out, meshmod.mesh_to_json_dict(m, f))
+        meshmod.save_mesh(out, m, f)
     except (ValueError, RuntimeError) as exc:
         _fail(str(exc))
 

@@ -5,11 +5,18 @@ surface.  Geometry is carried by positive edge lengths (vertex positions
 are optional and only used to derive lengths for embedded generators),
 so metrics without a supplied isometric embedding -- conformally scaled
 discs, the pulled-back branched metric -- are first-class citizens.
+
+Edge lengths are an (E,) array aligned to `SurfaceMesh.edges`, the
+unique undirected edges (i < j) in lexicographic order.  Everything
+from construction to the JSON file and back works on arrays; a
+`{(i, j): length}` mapping is accepted only as an input adapter.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +93,46 @@ def _heron_areas(lengths: np.ndarray, context: str = "triangle") -> np.ndarray:
     return 0.25 * np.sqrt(f1 * f2 * f3 * f4)
 
 
+def _edge_structure(tri: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unique undirected edges (i < j, lexicographic) of a triangle array
+    on `n` vertices, and the (F, 3) index of the edge opposite each corner.
+
+    Edges are ranked by the 1-D key i * n + j, which sorts exactly like
+    the pairs (i, j)."""
+    opp = tri[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2)
+    keys = np.minimum(opp[:, 0], opp[:, 1]) * n + np.maximum(opp[:, 0], opp[:, 1])
+    ukeys, corner_edges = np.unique(keys, return_inverse=True)
+    edges = np.column_stack([ukeys // n, ukeys % n])
+    return edges, corner_edges.reshape(-1, 3)
+
+
+def _match_lengths(edges: np.ndarray, n: int, pairs: np.ndarray,
+                   values: np.ndarray) -> np.ndarray:
+    """Lengths aligned to `edges` from (i, j) -> length rows given in any
+    order and orientation.  Rows naming no edge are ignored; an edge with
+    no row, or with two rows of different lengths, raises MeshError."""
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    inside = (lo >= 0) & (hi < n)
+    keys = (lo * n + hi)[inside]
+    values = values[inside]
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], values[order]
+    clash = np.flatnonzero((keys[1:] == keys[:-1]) & (values[1:] != values[:-1]))
+    if clash.size:
+        t = int(clash[0])
+        i, j = divmod(int(keys[t]), n)
+        raise MeshError(f"edge ({i}, {j}) is given two lengths, "
+                        f"{values[t]!r} and {values[t + 1]!r}")
+    want = edges[:, 0] * n + edges[:, 1]
+    at = np.searchsorted(keys, want)
+    found = at < keys.size
+    found[found] = keys[at[found]] == want[found]
+    if not found.all():
+        i, j = edges[np.argmin(found)]
+        raise MeshError(f"missing edge length for edge ({int(i)}, {int(j)})")
+    return values[at]
+
+
 class SurfaceMesh:
     """Oriented triangle mesh with an intrinsic metric.
 
@@ -96,10 +143,12 @@ class SurfaceMesh:
     positions : array_like, shape (V, 3), optional
         Embedded vertex coordinates.  When given and `edge_lengths` is
         not, edge lengths are derived from them.
-    edge_lengths : dict, optional
-        Map from unordered vertex pair (i, j) to positive length.
-        Exactly one of `positions` / `edge_lengths` must define the
-        metric.
+    edge_lengths : array_like or mapping, optional
+        Positive lengths as an (E,) array aligned to `edges`; or
+        (R, 3) rows [i, j, length], or a mapping {(i, j): length}, in
+        any order and orientation, matched to `edges` once.  Takes
+        precedence over `positions` as the metric; one of the two is
+        required.
     validate : bool
         Skip invariant checks when False (test fixtures only).
     """
@@ -126,24 +175,26 @@ class SurfaceMesh:
         if self.vertex_count < 3:
             raise MeshError("a surface mesh needs at least 3 vertices")
 
-        # Unique undirected edges; corner_edges[f, c] is the edge opposite
-        # corner c of triangle f.
-        opp = tri[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2)
-        und = np.sort(opp, axis=1)
-        self.edges, corner_edges = np.unique(und, axis=0, return_inverse=True)
-        self.corner_edges = corner_edges.reshape(-1, 3)
+        # corner_edges[f, c] is the edge opposite corner c of triangle f
+        self.edges, self.corner_edges = _edge_structure(tri, self.vertex_count)
         self.edge_count = self.edges.shape[0]
 
-        if edge_lengths is not None:
-            lens = np.empty(self.edge_count)
-            for e, (i, j) in enumerate(self.edges):
-                key = (int(i), int(j))
-                if key not in edge_lengths:
-                    key = (int(j), int(i))
-                try:
-                    lens[e] = edge_lengths[key]
-                except KeyError:
-                    raise MeshError(f"missing edge length for edge {key}") from None
+        if isinstance(edge_lengths, Mapping):
+            pairs = np.array(list(edge_lengths), dtype=np.int64).reshape(-1, 2)
+            values = np.fromiter(edge_lengths.values(), float, len(edge_lengths))
+            lens = _match_lengths(self.edges, self.vertex_count, pairs, values)
+        elif edge_lengths is not None:
+            lens = np.array(edge_lengths, dtype=float)
+            if lens.ndim == 2 and lens.shape[1] == 3:
+                pairs = lens[:, :2].astype(np.int64)
+                if not np.array_equal(pairs, lens[:, :2]):
+                    raise MeshError("edge length rows must start with two "
+                                    "integer vertex indices")
+                lens = _match_lengths(self.edges, self.vertex_count, pairs,
+                                      lens[:, 2])
+            elif lens.shape != (self.edge_count,):
+                raise MeshError(f"expected {self.edge_count} edge lengths "
+                                f"aligned to edges, got shape {lens.shape}")
         elif self.positions is not None:
             d = self.positions[self.edges[:, 0]] - self.positions[self.edges[:, 1]]
             lens = np.linalg.norm(d, axis=1)
@@ -182,8 +233,8 @@ class SurfaceMesh:
 
         # consistent orientation: every directed half-edge occurs once
         he = tri[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2)
-        keys = he[:, 0] * self.vertex_count + he[:, 1]
-        if np.unique(keys).size != keys.size:
+        keys = np.sort(he[:, 0] * self.vertex_count + he[:, 1])
+        if np.any(keys[1:] == keys[:-1]):
             raise MeshError("inconsistent orientation: repeated directed half-edge")
 
         # triangle adjacency graph connected
@@ -204,10 +255,6 @@ class SurfaceMesh:
     def tri_lengths(self) -> np.ndarray:
         """(F, 3) side lengths; column c is the edge opposite corner c."""
         return self.lengths[self.corner_edges]
-
-    def edge_length_map(self) -> dict:
-        return {(int(i), int(j)): float(l)
-                for (i, j), l in zip(self.edges, self.lengths)}
 
     def _boundary(self):
         if self._boundary_data is None:
@@ -232,29 +279,28 @@ class SurfaceMesh:
         orientation (surface on the left).  Raises on closed meshes.
         """
         bedge_mask, _ = self._boundary()
-        boundary_edges = {(int(a), int(b)) for a, b in self.edges[bedge_mask]}
-        if not boundary_edges:
+        if not bedge_mask.any():
             raise MeshError("mesh is closed: no boundary contours")
-        # recover the directed version of each boundary edge from its triangle
-        nxt = {}
-        for f, tri in enumerate(self.triangles):
-            for c in range(3):
-                u, v = int(tri[(c + 1) % 3]), int(tri[(c + 2) % 3])
-                if (min(u, v), max(u, v)) in boundary_edges:
-                    if u in nxt:
-                        raise MeshError(f"non-manifold boundary at vertex {u}")
-                    nxt[u] = v
+        # the directed boundary edges, as their triangles orient them, in
+        # triangle-then-corner order
+        he = self.triangles[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2)
+        u, v = he[bedge_mask[self.corner_edges.ravel()]].T
+        order = np.argsort(u, kind="stable")
+        repeat = order[1:][u[order][1:] == u[order][:-1]]
+        if repeat.size:
+            raise MeshError(f"non-manifold boundary at vertex {u[repeat.min()]}")
+        nxt = dict(zip(u.tolist(), v.tolist()))
         loops = []
-        remaining = set(nxt)
-        while remaining:
-            start = min(remaining)
+        seen = set()
+        for start in sorted(nxt):
+            if start in seen:
+                continue
             loop = [start]
-            remaining.discard(start)
-            v = nxt[start]
-            while v != start:
-                loop.append(v)
-                remaining.discard(v)
-                v = nxt[v]
+            w = nxt[start]
+            while w != start:
+                loop.append(w)
+                w = nxt[w]
+            seen.update(loop)
             loops.append(loop)
         return loops
 
@@ -280,11 +326,9 @@ class SurfaceMesh:
         """Copy with every edge length multiplied by c > 0."""
         if c <= 0:
             raise ValueError("scale factor must be positive")
-        lens = {(int(i), int(j)): float(l * c)
-                for (i, j), l in zip(self.edges, self.lengths)}
         pos = self.positions * c if self.positions is not None else None
-        return SurfaceMesh(self.triangles, positions=pos, edge_lengths=lens,
-                           validate=False)
+        return SurfaceMesh(self.triangles, positions=pos,
+                           edge_lengths=self.lengths * c, validate=False)
 
     def descriptor(self) -> str:
         return f"V{self.vertex_count}F{self.triangles.shape[0]}"
@@ -300,30 +344,31 @@ def _disc_structure(rings: int):
     vertex coordinates as complex numbers plus the triangle array, all
     triangles counterclockwise.
     """
-    z = [0.0 + 0.0j]
-    ring_start = [0, 1]
+    z = [np.zeros(1, dtype=complex)]
     for k in range(1, rings + 1):
         n = 6 * k
         ang = 2.0 * np.pi * np.arange(n) / n
-        z.extend((k / rings) * np.exp(1j * ang))
-        ring_start.append(len(z))
-    z = np.array(z)
+        z.append((k / rings) * np.exp(1j * ang))
+    z = np.concatenate(z)
 
-    tris = [(0, 1 + m, 1 + (m + 1) % 6) for m in range(6)]
+    m = np.arange(6)
+    tris = [np.column_stack([np.zeros(6, dtype=np.int64), 1 + m, 1 + (m + 1) % 6])]
     for k in range(2, rings + 1):
         n_in, n_out = 6 * (k - 1), 6 * k
-        si, so = ring_start[k - 1], ring_start[k]
-        i = j = 0
-        while i < n_in or j < n_out:
-            # advance whichever ring has the smaller next angle
-            # (j+1)/n_out <= (i+1)/n_in, cross-multiplied to stay exact
-            if j < n_out and (i == n_in or (j + 1) * n_in <= (i + 1) * n_out):
-                tris.append((si + i % n_in, so + j % n_out, so + (j + 1) % n_out))
-                j += 1
-            else:
-                tris.append((si + i % n_in, so + j % n_out, si + (i + 1) % n_in))
-                i += 1
-    return z, np.array(tris, dtype=np.int64)
+        si, so = 1 + 3 * (k - 1) * (k - 2), 1 + 3 * k * (k - 1)
+        # The zipper steps along whichever ring has the smaller next angle,
+        # the outer one on ties: a stable merge of the outer steps' angles
+        # (j+1)/n_out and the inner steps' (i+1)/n_in, cross-multiplied
+        # to stay exact.
+        keys = np.concatenate([np.arange(1, n_out + 1) * n_in,
+                               np.arange(1, n_in + 1) * n_out])
+        outer = np.argsort(keys, kind="stable") < n_out
+        j = np.cumsum(outer) - outer        # outer steps taken before
+        i = np.cumsum(~outer) - ~outer      # inner steps taken before
+        tris.append(np.column_stack([
+            si + i % n_in, so + j % n_out,
+            np.where(outer, so + (j + 1) % n_out, si + (i + 1) % n_in)]))
+    return z, np.concatenate(tris).astype(np.int64, copy=False)
 
 
 def generate_disc(rings: int) -> SurfaceMesh:
@@ -368,14 +413,15 @@ def generate_annulus(inner_radius: float, resolution: int) -> SurfaceMesh:
         pts.append(np.column_stack([r * np.cos(ang), r * np.sin(ang),
                                     np.zeros(n)]))
     pos = np.vstack(pts)
-    tris = []
-    for k in range(resolution):
-        a, b = k * n, (k + 1) * n
-        for m in range(n):
-            m1 = (m + 1) % n
-            tris.append((a + m, b + m, b + m1))
-            tris.append((a + m, b + m1, a + m1))
-    return SurfaceMesh(np.array(tris, dtype=np.int64), positions=pos)
+    # two triangles per cell (ring k, sector m), in (k, m) order
+    a = n * np.arange(resolution)[:, None]
+    m = np.arange(n)[None, :]
+    m1 = (m + 1) % n
+    b = a + n
+    tris = np.stack([np.stack(np.broadcast_arrays(a + m, b + m, b + m1), -1),
+                     np.stack(np.broadcast_arrays(a + m, b + m1, a + m1), -1)],
+                    axis=2)
+    return SurfaceMesh(tris.reshape(-1, 3), positions=pos)
 
 
 def generate_branched_double_disc(rings: int) -> tuple[SurfaceMesh, MapSample]:
@@ -390,12 +436,9 @@ def generate_branched_double_disc(rings: int) -> tuple[SurfaceMesh, MapSample]:
         raise ValueError(f"rings must be >= 2, got {rings}")
     z, tris = _disc_structure(rings)
     w = z * z
-    lens = {}
-    mesh_tmp_edges = np.unique(np.sort(tris[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2),
-                                       axis=1), axis=0)
-    for i, j in mesh_tmp_edges:
-        lens[(int(i), int(j))] = abs(w[i] - w[j])
-    mesh = SurfaceMesh(tris, edge_lengths=lens)
+    i, j = _edge_structure(tris, z.size)[0].T
+    d = w[i] - w[j]
+    mesh = SurfaceMesh(tris, edge_lengths=np.hypot(d.real, d.imag))
     return mesh, MapSample(w, 2)
 
 
@@ -416,11 +459,9 @@ def generate_conformal_disc(rings: int, log_factor) -> tuple[SurfaceMesh, MapSam
         raise ValueError(f"expected {z.size} log-factor samples, got {phi.shape}")
     if not np.all(np.isfinite(phi)):
         raise ValueError("log-factor samples must be finite")
-    lens = {}
-    edges = np.unique(np.sort(tris[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2), axis=1),
-                      axis=0)
-    for i, j in edges:
-        lens[(int(i), int(j))] = abs(z[i] - z[j]) * np.exp(0.5 * (phi[i] + phi[j]))
+    i, j = _edge_structure(tris, z.size)[0].T
+    d = z[i] - z[j]
+    lens = np.hypot(d.real, d.imag) * np.exp(0.5 * (phi[i] + phi[j]))
     mesh = SurfaceMesh(tris, edge_lengths=lens)
     return mesh, MapSample(z, 1)
 
@@ -432,15 +473,19 @@ def mesh_to_json_dict(mesh: SurfaceMesh, map_sample: MapSample | None = None) ->
     if mesh.positions is not None:
         doc["vertices"] = mesh.positions.tolist()
     else:
-        doc["edge_lengths"] = [[int(i), int(j), float(l)]
-                               for (i, j), l in zip(mesh.edges, mesh.lengths)]
+        # object columns so that rows hold Python ints and floats
+        doc["edge_lengths"] = np.column_stack(
+            [mesh.edges.astype(object), mesh.lengths.astype(object)]).tolist()
     if map_sample is not None:
-        doc["map"] = [[float(v.real), float(v.imag)] for v in map_sample.values]
+        vals = map_sample.values
+        doc["map"] = np.column_stack([vals.real, vals.imag]).tolist()
         doc["degree"] = int(map_sample.degree)
     return doc
 
 
 def mesh_from_json_dict(doc: dict) -> tuple[SurfaceMesh, MapSample | None]:
+    """Inverse of `mesh_to_json_dict`; `edge_lengths` rows may come in any
+    order and orientation."""
     if "triangles" not in doc:
         raise MeshError("mesh JSON lacks 'triangles'")
     has_v, has_l = "vertices" in doc, "edge_lengths" in doc
@@ -449,19 +494,38 @@ def mesh_from_json_dict(doc: dict) -> tuple[SurfaceMesh, MapSample | None]:
     if has_v:
         mesh = SurfaceMesh(doc["triangles"], positions=doc["vertices"])
     else:
-        lens = {(int(i), int(j)): float(l) for i, j, l in doc["edge_lengths"]}
-        mesh = SurfaceMesh(doc["triangles"], edge_lengths=lens)
+        rows = _json_array(doc["edge_lengths"], "edge_lengths", 3)
+        mesh = SurfaceMesh(doc["triangles"], edge_lengths=rows)
     ms = None
     if "map" in doc:
-        vals = np.array([complex(re, im) for re, im in doc["map"]])
-        ms = MapSample(vals, int(doc.get("degree", 1)))
+        vals = _json_array(doc["map"], "map", 2)
+        if vals.shape[0] != mesh.vertex_count:
+            raise MeshError(f"map has {vals.shape[0]} samples for "
+                            f"{mesh.vertex_count} vertices")
+        ms = MapSample(vals.view(complex).ravel(), int(doc.get("degree", 1)))
     return mesh, ms
 
 
+def _json_array(rows, name: str, width: int) -> np.ndarray:
+    """A JSON list of `width`-number rows as a float (R, width) array."""
+    try:
+        arr = np.array(rows, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != 2 or arr.shape[1] != width:
+        raise MeshError(f"mesh JSON '{name}' must be a list of rows of "
+                        f"{width} numbers")
+    return arr
+
+
 def save_mesh(path, mesh: SurfaceMesh, map_sample: MapSample | None = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(mesh_to_json_dict(mesh, map_sample), fh, sort_keys=True)
-        fh.write("\n")
+    """Write compact JSON (C encoder, sorted keys); path '-' means stdout."""
+    text = json.dumps(mesh_to_json_dict(mesh, map_sample), sort_keys=True) + "\n"
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
 
 
 def load_mesh(path) -> tuple[SurfaceMesh, MapSample | None]:

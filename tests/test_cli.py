@@ -4,7 +4,7 @@ from functools import partial
 import pytest
 from click.testing import CliRunner
 
-from membrane_spectra import fixtures, verify_with_budget
+from membrane_spectra import fixtures, save_mesh, verify_with_budget
 from membrane_spectra.cli import main
 
 
@@ -34,6 +34,28 @@ def test_gen_deterministic(tmp_path, runner):
                                       "--out", str(out)])
         assert result.exit_code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("shape, args", [
+    ("disc", []), ("cap", ["--colatitude", "0.7"]),
+    ("annulus", ["--inner-radius", "0.3"]), ("branched-disc", []),
+    ("conformal-disc", ["--seed", "5", "--amplitude", "1.5"])])
+def test_gen_writes_save_mesh_output(tmp_path, runner, shape, args):
+    out, ref = tmp_path / "gen.json", tmp_path / "ref.json"
+    result = runner.invoke(main, ["gen", "--shape", shape, "--resolution", "5",
+                                  "--out", str(out)] + args)
+    assert result.exit_code == 0, result.output
+    kwargs = {"colatitude": 0.7} if shape == "cap" else {
+        "inner_radius": 0.3} if shape == "annulus" else {
+        "seed": 5, "amplitude": 1.5} if shape == "conformal-disc" else {}
+    save_mesh(ref, *fixtures.build(shape, 5, **kwargs))
+    assert out.read_bytes() == ref.read_bytes()
+    # compact: one line, no indentation
+    assert out.read_text().count("\n") == 1
+    stdout = runner.invoke(main, ["gen", "--shape", shape, "--resolution", "5",
+                                  "--out", "-"] + args)
+    assert stdout.exit_code == 0
+    assert stdout.stdout == ref.read_text()
 
 
 def test_gen_rejects_bad_params(tmp_path, runner):
@@ -107,6 +129,20 @@ def test_verify_missing_map_fails_cleanly(tmp_path, runner):
                          "--out", str(mesh_file)])
     result = runner.invoke(main, ["verify", str(mesh_file)])
     assert result.exit_code == 1
+
+
+def test_verify_short_map_fails_cleanly(tmp_path, runner):
+    mesh_file = tmp_path / "conformal.json"
+    runner.invoke(main, ["gen", "--shape", "conformal-disc", "--resolution",
+                         "6", "--out", str(mesh_file)])
+    doc = json.loads(mesh_file.read_text())
+    vertices = len(doc["map"])
+    doc["map"] = doc["map"][:-3]
+    mesh_file.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["verify", str(mesh_file)])
+    assert result.exit_code == 1
+    error = json.loads(result.stderr)["error"]
+    assert f"map has {vertices - 3} samples for {vertices} vertices" in error
 
 
 def test_config_parse_error_exit_code(runner):

@@ -114,6 +114,31 @@ class TestBranchedDoubleDisc:
             ms.generate_branched_double_disc(1)
 
 
+def _scalar_lengths(values, edges, phi=None):
+    # one scalar abs (and exp) per edge, as the generators once computed them
+    out = []
+    for i, j in edges:
+        length = abs(values[i] - values[j])
+        if phi is not None:
+            length = length * np.exp(0.5 * (phi[i] + phi[j]))
+        out.append(length)
+    return np.array(out)
+
+
+class TestGeneratorLengths:
+    @pytest.mark.parametrize("rings", [3, 16])
+    def test_conformal_matches_scalar_formula(self, rings):
+        phi = ms.fixtures.random_log_factor(4, amplitude=2.0)
+        mesh, f = ms.generate_conformal_disc(rings, phi)
+        expect = _scalar_lengths(f.values, mesh.edges, phi(f.values))
+        assert np.array_equal(mesh.lengths, expect)
+
+    @pytest.mark.parametrize("rings", [3, 16])
+    def test_branched_matches_scalar_formula(self, rings):
+        mesh, f = ms.generate_branched_double_disc(rings)
+        assert np.array_equal(mesh.lengths, _scalar_lengths(f.values, mesh.edges))
+
+
 class TestConformalDisc:
     def test_zero_factor_matches_flat_disc(self):
         flat = ms.generate_disc(6)
@@ -140,7 +165,81 @@ class TestConformalDisc:
                 np.abs(z) > 0.5, np.nan, 0.0))
 
 
+def _loop_disc_structure(rings):
+    # the scalar ring zipper the vectorized `_disc_structure` replaces
+    ring_start = [0, 1]
+    for k in range(1, rings + 1):
+        ring_start.append(ring_start[-1] + 6 * k)
+    tris = [(0, 1 + m, 1 + (m + 1) % 6) for m in range(6)]
+    for k in range(2, rings + 1):
+        n_in, n_out = 6 * (k - 1), 6 * k
+        si, so = ring_start[k - 1], ring_start[k]
+        i = j = 0
+        while i < n_in or j < n_out:
+            if j < n_out and (i == n_in or (j + 1) * n_in <= (i + 1) * n_out):
+                tris.append((si + i % n_in, so + j % n_out, so + (j + 1) % n_out))
+                j += 1
+            else:
+                tris.append((si + i % n_in, so + j % n_out, si + (i + 1) % n_in))
+                i += 1
+    return np.array(tris, dtype=np.int64)
+
+
+def _walk_boundary_loops(mesh):
+    # the per-triangle walk the vectorized `boundary_loops` replaces
+    counts = np.bincount(mesh.corner_edges.ravel(), minlength=mesh.edge_count)
+    boundary = {(int(a), int(b)) for a, b in mesh.edges[counts == 1]}
+    nxt = {}
+    for tri in mesh.triangles:
+        for c in range(3):
+            u, v = int(tri[(c + 1) % 3]), int(tri[(c + 2) % 3])
+            if (min(u, v), max(u, v)) in boundary:
+                nxt[u] = v
+    loops, remaining = [], set(nxt)
+    while remaining:
+        loop = [min(remaining)]
+        while nxt[loop[-1]] != loop[0]:
+            loop.append(nxt[loop[-1]])
+        remaining -= set(loop)
+        loops.append(loop)
+    return loops
+
+
+@pytest.mark.parametrize("rings", [1, 2, 5, 13])
+def test_ring_zipper_matches_scalar_loop(rings):
+    _, tris = ms.mesh._disc_structure(rings)
+    assert tris.dtype == np.int64
+    assert np.array_equal(tris, _loop_disc_structure(rings))
+
+
+def test_edges_are_lexicographic_unique_pairs(bump_disc12):
+    mesh, _ = bump_disc12
+    und = np.sort(mesh.triangles[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2), axis=1)
+    edges, inverse = np.unique(und, axis=0, return_inverse=True)
+    assert np.array_equal(mesh.edges, edges)
+    assert np.array_equal(mesh.corner_edges, inverse.reshape(-1, 3))
+
+
 class TestBoundaryLoops:
+    def test_matches_triangle_walk(self, hemisphere16):
+        rng = np.random.default_rng(3)
+        annulus = ms.generate_annulus(0.4, 5)
+        # reversing the triangle order moves where each walk would start
+        shuffled = ms.SurfaceMesh(annulus.triangles[::-1], positions=annulus.positions)
+        relabel = rng.permutation(annulus.vertex_count)
+        relabelled = ms.SurfaceMesh(relabel[annulus.triangles],
+                                    positions=annulus.positions[np.argsort(relabel)])
+        for m in (hemisphere16, annulus, shuffled, relabelled,
+                  ms.generate_branched_double_disc(7)[0]):
+            assert m.boundary_loops() == _walk_boundary_loops(m)
+
+    def test_pinched_boundary_rejected(self):
+        # two triangles sharing only vertex 0
+        pos = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]]
+        m = ms.SurfaceMesh([[0, 1, 2], [0, 3, 4]], positions=pos, validate=False)
+        with pytest.raises(MeshError, match="non-manifold boundary at vertex 0"):
+            m.boundary_loops()
+
     def test_disc_one_loop(self):
         loops = ms.generate_disc(4).boundary_loops()
         assert len(loops) == 1
@@ -262,6 +361,25 @@ class TestValidation:
         assert m.total_area() == pytest.approx(9.0 * disc8.total_area(),
                                                rel=1e-13)
 
+    def test_scaled_intrinsic(self, branched12):
+        mesh, _ = branched12
+        m = mesh.scaled(0.25)
+        assert m.positions is None
+        assert np.array_equal(m.edges, mesh.edges)
+        assert np.array_equal(m.lengths, mesh.lengths * 0.25)
+        assert m.total_area() == pytest.approx(mesh.total_area() / 16, rel=1e-13)
+        with pytest.raises(ValueError):
+            mesh.scaled(0.0)
+
+    def test_lengths_array_must_align_with_edges(self):
+        with pytest.raises(MeshError, match="expected 3 edge lengths"):
+            ms.SurfaceMesh([[0, 1, 2]], edge_lengths=[1.0, 1.0])
+
+    def test_mapping_adapter_accepts_either_orientation(self):
+        m = ms.SurfaceMesh([[0, 1, 2]],
+                           edge_lengths={(1, 0): 3.0, (0, 2): 4.0, (2, 1): 5.0})
+        assert np.array_equal(m.lengths, [3.0, 4.0, 5.0])
+
 
 class TestJsonInterchange:
     def test_roundtrip_embedded(self, tmp_path, disc8):
@@ -287,6 +405,65 @@ class TestJsonInterchange:
         doc["edge_lengths"] = [[0, 1, 1.0]]
         with pytest.raises(MeshError, match="exactly one"):
             ms.mesh.mesh_from_json_dict(doc)
+
+    def test_rows_in_any_order_and_orientation(self, branched12):
+        mesh, f = branched12
+        doc = ms.mesh.mesh_to_json_dict(mesh, f)
+        rows = doc["edge_lengths"]
+        rng = np.random.default_rng(11)
+        shuffled = [rows[k] for k in rng.permutation(len(rows))]
+        flipped = [[j, i, l] if k % 2 else [i, j, l]
+                   for k, (i, j, l) in enumerate(shuffled)]
+        m2, f2 = ms.mesh.mesh_from_json_dict(dict(doc, edge_lengths=flipped))
+        assert np.array_equal(m2.lengths, mesh.lengths)
+        assert np.array_equal(f2.values, f.values)
+
+    def test_missing_edge_named(self, branched12):
+        mesh, _ = branched12
+        doc = ms.mesh.mesh_to_json_dict(mesh)
+        i, j, _ = doc["edge_lengths"].pop(17)
+        with pytest.raises(MeshError, match=rf"missing edge length for edge \({i}, {j}\)"):
+            ms.mesh.mesh_from_json_dict(doc)
+
+    def test_conflicting_rows_rejected(self, branched12):
+        mesh, _ = branched12
+        doc = ms.mesh.mesh_to_json_dict(mesh)
+        i, j, length = doc["edge_lengths"][5]
+        # a repeated row with the same length is harmless
+        same = dict(doc, edge_lengths=doc["edge_lengths"] + [[j, i, length]])
+        assert np.array_equal(ms.mesh.mesh_from_json_dict(same)[0].lengths,
+                              mesh.lengths)
+        doc["edge_lengths"].append([j, i, 2.0 * length])
+        with pytest.raises(MeshError, match=rf"edge \({i}, {j}\) is given two lengths"):
+            ms.mesh.mesh_from_json_dict(doc)
+
+    def test_map_length_must_match_vertices(self, branched12):
+        mesh, f = branched12
+        doc = ms.mesh.mesh_to_json_dict(mesh, f)
+        doc["map"] = doc["map"][:-3]
+        V = mesh.vertex_count
+        with pytest.raises(MeshError, match=f"map has {V - 3} samples for {V} vertices"):
+            ms.mesh.mesh_from_json_dict(doc)
+
+    @pytest.mark.parametrize("key, bad", [("map", [[0.0, 1.0, 2.0]]),
+                                          ("edge_lengths", [[0, 1]]),
+                                          ("edge_lengths", [[0, 1.5, 1.0]])])
+    def test_malformed_rows_rejected(self, branched12, key, bad):
+        doc = ms.mesh.mesh_to_json_dict(*branched12)
+        doc[key] = bad
+        with pytest.raises(MeshError):
+            ms.mesh.mesh_from_json_dict(doc)
+
+    def test_indented_file_loads_the_same(self, tmp_path, bump_disc12):
+        # files written with indent=2 (the earlier `gen` format) still load
+        mesh, f = bump_disc12
+        path = tmp_path / "indented.json"
+        path.write_text(json.dumps(ms.mesh.mesh_to_json_dict(mesh, f),
+                                   sort_keys=True, indent=2))
+        m2, f2 = ms.load_mesh(path)
+        assert np.array_equal(m2.triangles, mesh.triangles)
+        assert np.array_equal(m2.lengths, mesh.lengths)
+        assert np.array_equal(f2.values, f.values)
 
     def test_deterministic_serialization(self, disc8):
         a = json.dumps(ms.mesh.mesh_to_json_dict(disc8), sort_keys=True)
