@@ -283,6 +283,14 @@ class TestSolverAgreement:
                            match=rf"n={n} dofs, k=1, sigma=-\S+: "):
             ms.solve_dirichlet(disc8, 1, method="sparse")
 
+    def test_singular_factor_is_typed(self, disc8, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(fem, "splu", fail)
+        with pytest.raises(EigenSolveError, match="Factor is exactly singular"):
+            ms.solve_neumann(disc8, 2, method="sparse")
+
     def test_other_runtime_errors_propagate(self, disc8, monkeypatch):
         def fail(*args, **kwargs):
             raise RuntimeError("unrelated")
