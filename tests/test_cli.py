@@ -36,18 +36,18 @@ def test_gen_deterministic(tmp_path, runner):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("shape, args", [
-    ("disc", []), ("cap", ["--colatitude", "0.7"]),
-    ("annulus", ["--inner-radius", "0.3"]), ("branched-disc", []),
-    ("conformal-disc", ["--seed", "5", "--amplitude", "1.5"])])
-def test_gen_writes_save_mesh_output(tmp_path, runner, shape, args):
+@pytest.mark.parametrize("shape, args, kwargs", [
+    ("disc", [], {}),
+    ("cap", ["--colatitude", "0.7"], {"colatitude": 0.7}),
+    ("annulus", ["--inner-radius", "0.3"], {"inner_radius": 0.3}),
+    ("branched-disc", [], {}),
+    ("conformal-disc", ["--seed", "5", "--amplitude", "1.5"],
+     {"seed": 5, "amplitude": 1.5})])
+def test_gen_writes_save_mesh_output(tmp_path, runner, shape, args, kwargs):
     out, ref = tmp_path / "gen.json", tmp_path / "ref.json"
     result = runner.invoke(main, ["gen", "--shape", shape, "--resolution", "5",
                                   "--out", str(out)] + args)
     assert result.exit_code == 0, result.output
-    kwargs = {"colatitude": 0.7} if shape == "cap" else {
-        "inner_radius": 0.3} if shape == "annulus" else {
-        "seed": 5, "amplitude": 1.5} if shape == "conformal-disc" else {}
     save_mesh(ref, *fixtures.build(shape, 5, **kwargs))
     assert out.read_bytes() == ref.read_bytes()
     # compact: one line, no indentation
