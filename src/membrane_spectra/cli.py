@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -15,17 +14,17 @@ from .transplant import disc_map_from_positions, identity_map_from_positions
 
 
 def _fail(message: str, code: int = 1):
-    click.echo(json.dumps({"error": message}, sort_keys=True), err=True)
+    click.echo(meshmod.dumps({"error": message}).decode(), err=True, nl=False)
     sys.exit(code)
 
 
 def _dump(path, doc):
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    data = meshmod.dumps(doc, indent=True)
     if path is None or path == "-":
-        click.echo(text, nl=False)
+        click.echo(data.decode(), nl=False)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(data)
 
 
 @click.group()

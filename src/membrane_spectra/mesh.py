@@ -14,9 +14,10 @@ from construction to the JSON file and back works on arrays; a
 
 from __future__ import annotations
 
-import json
+import gc
 import sys
 from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -518,16 +519,56 @@ def _json_array(rows, name: str, width: int) -> np.ndarray:
     return arr
 
 
+def dumps(doc, indent: bool = False) -> bytes:
+    """The package's one JSON encoder: sorted keys, NumPy scalars and
+    arrays accepted, a trailing newline, and with `indent` two-space
+    indentation.  NaN is written as null, so callers must reject it first.
+    """
+    import orjson      # imported here: `import membrane_spectra` does no IO
+
+    option = (orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+              | orjson.OPT_APPEND_NEWLINE)
+    if indent:
+        option |= orjson.OPT_INDENT_2
+    return orjson.dumps(doc, option=option)
+
+
+def loads(data):
+    """The package's one JSON decoder.  Malformed input, and the NaN and
+    Infinity tokens, raise `orjson.JSONDecodeError`, a `ValueError`."""
+    import orjson
+
+    return orjson.loads(data)
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic collector while a mesh document of about a million
+    acyclic lists is built or parsed; its collections would find nothing.
+    The prior state is restored, so nesting and failures leave it as found.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def save_mesh(path, mesh: SurfaceMesh, map_sample: MapSample | None = None) -> None:
-    """Write compact JSON (C encoder, sorted keys); path '-' means stdout."""
-    text = json.dumps(mesh_to_json_dict(mesh, map_sample), sort_keys=True) + "\n"
+    """Write compact JSON through `dumps`; path '-' means stdout."""
+    with _gc_paused():
+        data = dumps(mesh_to_json_dict(mesh, map_sample))
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.write(data.decode())
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(data)
 
 
 def load_mesh(path) -> tuple[SurfaceMesh, MapSample | None]:
-    with open(path) as fh:
-        return mesh_from_json_dict(json.load(fh))
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with _gc_paused():
+        return mesh_from_json_dict(loads(data))

@@ -4,6 +4,7 @@ from functools import partial
 import pytest
 from click.testing import CliRunner
 
+import membrane_spectra as ms
 from membrane_spectra import fixtures, save_mesh, verify_with_budget
 from membrane_spectra.cli import main
 
@@ -183,6 +184,7 @@ def test_batch_budget_matches_verify_with_budget(tmp_path, runner):
     fine = json.loads(out.read_text())["cap-pi3:1"]
     rep = verify_with_budget(partial(fixtures.instance, "cap-pi3"), 12)
     assert fine["eps_fem"] == rep.eps_fem
+    assert fine == rep.to_json_dict()
 
 
 def test_batch_rejects_non_integer_thread_count(tmp_path, runner):
@@ -192,3 +194,40 @@ def test_batch_rejects_non_integer_thread_count(tmp_path, runner):
     error = json.loads(result.stderr)["error"]
     assert "MEMBRANE_SPECTRA_THREADS" in error and "'two'" in error
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_command_output_is_indented_json_of_the_object(tmp_path, runner):
+    mesh_file = tmp_path / "branched.json"
+    runner.invoke(main, ["gen", "--shape", "branched-disc", "--resolution",
+                         "8", "--out", str(mesh_file)])
+    mesh, f = ms.load_mesh(mesh_file)
+    spectrum, report = tmp_path / "spectrum.json", tmp_path / "report.json"
+    result = runner.invoke(main, ["spectrum", str(mesh_file), "--bc",
+                                  "neumann", "--k", "3", "--eigenfunctions",
+                                  "--out", str(spectrum)])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["verify", str(mesh_file),
+                                  "--out", str(report)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(spectrum.read_text()) == ms.solve_neumann(
+        mesh, 3).to_json_dict(include_eigenfunctions=True)
+    assert json.loads(report.read_text()) == \
+        ms.verify_inequality(mesh, f).to_json_dict()
+    for out in (spectrum, report):
+        text = out.read_text()
+        assert text.startswith('{\n  "') and text.endswith("}\n")
+
+
+@pytest.mark.parametrize("value, token", [(float("nan"), "NaN"),
+                                          (float("inf"), "Infinity")])
+def test_verify_non_finite_token_fails_cleanly(tmp_path, runner, value, token):
+    mesh_file = tmp_path / "conformal.json"
+    runner.invoke(main, ["gen", "--shape", "conformal-disc", "--resolution",
+                         "4", "--out", str(mesh_file)])
+    doc = json.loads(mesh_file.read_text())
+    doc["map"][0][0] = value
+    mesh_file.write_text(json.dumps(doc))    # the stdlib writes the token
+    assert token in mesh_file.read_text()
+    result = runner.invoke(main, ["verify", str(mesh_file)])
+    assert result.exit_code == 1
+    assert "error" in json.loads(result.stderr)

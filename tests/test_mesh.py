@@ -1,9 +1,14 @@
+import gc
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import membrane_spectra as ms
+from membrane_spectra import fixtures
 from membrane_spectra.mesh import MeshError
 
 from conftest import square_mesh
@@ -470,6 +475,100 @@ class TestJsonInterchange:
         b = json.dumps(ms.mesh.mesh_to_json_dict(ms.generate_disc(8)),
                        sort_keys=True)
         assert a == b
+
+
+class TestCodec:
+    @pytest.mark.parametrize("writer", ["codec", "stdlib", "stdlib-indent"])
+    @pytest.mark.parametrize("shape", fixtures.SHAPES)
+    def test_every_shape_roundtrips_exactly(self, tmp_path, shape, writer):
+        mesh, f = fixtures.build(shape, 6)
+        doc = ms.mesh.mesh_to_json_dict(mesh, f)
+        path = tmp_path / "mesh.json"
+        if writer == "codec":
+            ms.save_mesh(path, mesh, f)
+            # same schema and values, whatever the number spelling
+            assert json.loads(path.read_text()) == doc
+        else:
+            # the compact and indented files of the earlier stdlib writer
+            indent = 2 if writer == "stdlib-indent" else None
+            path.write_text(json.dumps(doc, sort_keys=True, indent=indent) + "\n")
+        m2, f2 = ms.load_mesh(path)
+        assert np.array_equal(m2.triangles, mesh.triangles)
+        assert np.array_equal(m2.edges, mesh.edges)
+        assert np.array_equal(m2.lengths, mesh.lengths)
+        if mesh.positions is None:
+            assert m2.positions is None
+        else:
+            assert np.array_equal(m2.positions, mesh.positions)
+        if f is None:
+            assert f2 is None
+        else:
+            assert np.array_equal(f2.values, f.values)
+            assert f2.degree == f.degree
+
+    def test_dumps_options(self):
+        doc = {"b": np.float64(1e-5), "a": [np.int64(3), 2.5]}
+        assert ms.mesh.dumps(doc) == b'{"a":[3,2.5],"b":0.00001}\n'
+        assert ms.mesh.dumps(doc, indent=True).startswith(b'{\n  "a": [\n')
+        assert json.loads(ms.mesh.dumps(doc, indent=True)) == \
+            {"a": [3, 2.5], "b": 1e-5}
+
+    @pytest.mark.parametrize("text", ['{"triangles": [[0, 1, NaN]]}',
+                                      '{"triangles": Infinity}',
+                                      '{"triangles": [[0, 1, 2]'])
+    def test_malformed_file_is_a_value_error(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            ms.load_mesh(path)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_state_restored(self, tmp_path, branched12, enabled):
+        path, bad = tmp_path / "mesh.json", tmp_path / "bad.json"
+        bad.write_text('{"vertices": []}')
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            ms.save_mesh(path, *branched12)
+            assert gc.isenabled() is enabled
+            ms.load_mesh(path)
+            assert gc.isenabled() is enabled
+            with pytest.raises(MeshError, match="lacks 'triangles'"):
+                ms.load_mesh(bad)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_gc_paused_while_documents_are_built_and_parsed(
+            self, tmp_path, monkeypatch, disc8):
+        seen = []
+
+        def spy(fn):
+            def wrapper(*args):
+                seen.append(gc.isenabled())
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(ms.mesh, "mesh_to_json_dict",
+                            spy(ms.mesh.mesh_to_json_dict))
+        monkeypatch.setattr(ms.mesh, "mesh_from_json_dict",
+                            spy(ms.mesh.mesh_from_json_dict))
+        path = tmp_path / "disc.json"
+        ms.save_mesh(path, disc8)
+        ms.load_mesh(path)
+        assert seen == [False, False]
+        assert gc.isenabled()
+
+    def test_package_import_does_not_load_the_codec(self):
+        # the codec library is imported on first use, not with the package
+        code = ("import sys, membrane_spectra as ms; "
+                "ms.solve_dirichlet(ms.generate_disc(4), 1); "
+                "print('orjson' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(ms.__file__))
+        proc = subprocess.run([sys.executable, "-c", code], check=True,
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.stdout.strip() == "False"
 
 
 def test_square_fixture_valid():
