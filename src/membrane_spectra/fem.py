@@ -169,7 +169,8 @@ def _solve_gevp(K, M, k: int, method: str = "auto"):
     lam = np.where(vals > ZERO_FLOOR_REL * scale, vals, scale)
     res = (np.linalg.norm(K @ vecs - vals * mv, axis=0)
            / (lam * np.linalg.norm(mv, axis=0)))
-    if np.max(res) > RESIDUAL_TOL:
+    # written so that a NaN residual fails the check
+    if not np.max(res) <= RESIDUAL_TOL:
         raise EigenSolveError(
             f"eigensolver residuals too large: max {np.max(res):.3e} "
             f"(tolerance {RESIDUAL_TOL:.0e}); residuals {res.tolist()}"

@@ -47,7 +47,7 @@ class MapSample:
     Attributes
     ----------
     values : np.ndarray
-        Complex array of shape (V,); |values| <= 1 up to rounding, with
+        Finite complex array of shape (V,); |values| <= 1 up to rounding, with
         boundary vertices on the unit circle.
     degree : int
         Covering degree of the map (1 for injective maps).
@@ -58,6 +58,10 @@ class MapSample:
 
     def __post_init__(self):
         vals = np.ascontiguousarray(np.asarray(self.values, dtype=complex))
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            raise MeshError(f"map sample at vertex {bad[0]} is not finite: "
+                            f"{vals[bad[0]]}")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         if self.degree < 1:

@@ -135,7 +135,7 @@ def trial_bound_sum(mesh: SurfaceMesh, f: MapSample, a: complex,
 
     g1, g2 = center_of_gravity(mesh, f, a)
     residual = float(np.hypot(g1, g2))
-    if residual > 1e-8 * area:
+    if not residual <= 1e-8 * area:     # a NaN residual fails too
         raise ValueError(
             f"parameter a={a} is not balanced: center-of-gravity residual "
             f"{residual:.3e} exceeds 1e-08 * area")
@@ -174,12 +174,14 @@ def check_eq3_implication(report: VerificationReport,
 
     Raises AssertionError if the identity chain fails (beyond rounding).
     """
-    if report.mu1 > report.mu2:
-        raise AssertionError("mu1 > mu2: eigenvalues out of order")
+    # both checks are written so that NaN fails them
+    if not report.mu1 <= report.mu2:
+        raise AssertionError(f"mu1={report.mu1:.6g} > mu2={report.mu2:.6g}: "
+                             "eigenvalues out of order")
     bound = (report.lambda1 * report.mu1 * report.degree * FOUR_PI_3
              * report.area * report.slack2)
     scale = abs(report.rhs3) + abs(report.lhs3)
-    if report.slack3 < bound - rel_tol * scale:
+    if not report.slack3 >= bound - rel_tol * scale:
         raise AssertionError(
             f"slack3={report.slack3:.6g} below the implied bound {bound:.6g}")
 

@@ -291,6 +291,18 @@ class TestSolverAgreement:
         with pytest.raises(EigenSolveError, match="Factor is exactly singular"):
             ms.solve_neumann(disc8, 2, method="sparse")
 
+    def test_nan_residual_is_rejected(self, disc8, monkeypatch):
+        real = fem.eigsh
+
+        def nan_row(*args, **kwargs):
+            vals, vecs = real(*args, **kwargs)
+            vecs[0] = np.nan
+            return vals, vecs
+
+        monkeypatch.setattr(fem, "eigsh", nan_row)
+        with pytest.raises(EigenSolveError, match="residuals too large: max nan"):
+            ms.solve_dirichlet(disc8, 1, method="sparse")
+
     def test_other_runtime_errors_propagate(self, disc8, monkeypatch):
         def fail(*args, **kwargs):
             raise RuntimeError("unrelated")

@@ -477,6 +477,24 @@ class TestJsonInterchange:
         assert a == b
 
 
+class TestMapSample:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan)])
+    def test_non_finite_sample_rejected(self, bad):
+        vals = np.zeros(6, dtype=complex)
+        vals[[3, 5]] = bad
+        with pytest.raises(MeshError, match="vertex 3 is not finite"):
+            ms.MapSample(vals, 1)
+
+    def test_null_sample_in_file_rejected(self, tmp_path, bump_disc12):
+        # the codec writes NaN as null, which reads back as NaN
+        doc = ms.mesh.mesh_to_json_dict(*bump_disc12)
+        doc["map"][7] = [None, 0.0]
+        path = tmp_path / "null.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MeshError, match=r"vertex 7 is not finite: \(nan\+0j\)"):
+            ms.load_mesh(path)
+
+
 class TestCodec:
     @pytest.mark.parametrize("writer", ["codec", "stdlib", "stdlib-indent"])
     @pytest.mark.parametrize("shape", fixtures.SHAPES)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import membrane_spectra as ms
-from membrane_spectra import fixtures
+from membrane_spectra import fixtures, verify as verify_module
 from membrane_spectra.transplant import (disc_map_from_positions,
                                          identity_map_from_positions)
 from membrane_spectra.verify import (FOUR_PI_3, VerificationReport,
@@ -53,6 +53,14 @@ class TestVerifyEq3:
         with pytest.raises(AssertionError, match="out of order"):
             check_eq3_implication(rep)
 
+    @pytest.mark.parametrize("field, message", [("slack3", "slack3=nan"),
+                                                ("mu2", "mu2=nan")])
+    def test_implication_rejects_nan(self, field, message):
+        rep = analytic_disc_report()
+        setattr(rep, field, float("nan"))
+        with pytest.raises(AssertionError, match=message):
+            check_eq3_implication(rep)
+
 
 class TestTrialBoundSum:
     def test_hemisphere_transplants_are_eigenfunctions(self, hemisphere32):
@@ -76,6 +84,13 @@ class TestTrialBoundSum:
         f = identity_map_from_positions(disc16)
         with pytest.raises(ValueError, match="not balanced"):
             ms.trial_bound_sum(disc16, f, 0.5)
+
+    def test_nan_balance_residual_rejected(self, disc16, monkeypatch):
+        monkeypatch.setattr(verify_module, "center_of_gravity",
+                            lambda mesh, f, a: (np.nan, 0.0))
+        f = identity_map_from_positions(disc16)
+        with pytest.raises(ValueError, match="residual nan exceeds"):
+            ms.trial_bound_sum(disc16, f, 0.0)
 
 
 class TestVerifyInequality:
