@@ -211,11 +211,15 @@ def solve_neumann(mesh: SurfaceMesh, k: int, method: str = "auto",
         raise EigenSolveError("k must be >= 1")
     K = assemble_stiffness(mesh)
     M = assemble_mass(mesh, lumped=lumped)
-    vals, vecs, res = _solve_gevp(K, M, k + 2, method)
+    # the zero mode and the k wanted ones; a disconnected mesh shows among
+    # them as a second zero mode, or as no eigenvalue above the floor
+    vals, vecs, res = _solve_gevp(K, M, k + 1, method)
 
     above = vals > ZERO_FLOOR_REL * _spectral_scale(K, M)
     if not above.any():
-        raise EigenSolveError("no eigenvalue above the zero-mode floor")
+        raise EigenSolveError(
+            f"no eigenvalue above the zero-mode floor among the {k + 1} "
+            "smallest: mesh is disconnected")
     mu_ref = vals[above][0]
     zero = vals < ZERO_MODE_REL * mu_ref
     nzero = int(zero.sum())

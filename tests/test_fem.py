@@ -177,6 +177,18 @@ class TestSolveNeumann:
         with pytest.raises(EigenSolveError, match="disconnected"):
             ms.solve_neumann(m, 1)
 
+    @pytest.mark.parametrize("k, message", [
+        (1, "no eigenvalue above the zero-mode floor among the 2 smallest"),
+        (3, "3 numerically zero Neumann modes")])
+    def test_three_components_are_disconnected(self, k, message):
+        tri = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
+        pos = np.vstack([tri + [5.0 * c, 0, 0] for c in range(3)])
+        m = ms.SurfaceMesh(np.arange(9).reshape(3, 3), positions=pos,
+                           validate=False)
+        with pytest.raises(EigenSolveError,
+                           match=f"{message}.*mesh is disconnected"):
+            ms.solve_neumann(m, k)
+
 
 class TestRayleighQuotient:
     def test_eigenpair(self, disc8):
