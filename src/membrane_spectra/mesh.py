@@ -528,7 +528,7 @@ def dumps(doc, indent: bool = False) -> bytes:
     arrays accepted, a trailing newline, and with `indent` two-space
     indentation.  NaN is written as null, so callers must reject it first.
     """
-    import orjson      # imported here: `import membrane_spectra` does no IO
+    import orjson      # on first use, so `import membrane_spectra` skips it
 
     option = (orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
               | orjson.OPT_APPEND_NEWLINE)
