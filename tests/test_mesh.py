@@ -580,7 +580,7 @@ class TestCodec:
     def test_package_import_does_not_load_the_codec(self):
         # the codec library is imported on first use, not with the package
         code = ("import sys, membrane_spectra as ms; "
-                "ms.solve_dirichlet(ms.generate_disc(4), 1); "
+                "ms.solve_neumann(ms.generate_disc(4), 2); "
                 "print('orjson' in sys.modules)")
         src = os.path.dirname(os.path.dirname(ms.__file__))
         proc = subprocess.run([sys.executable, "-c", code], check=True,
