@@ -218,7 +218,7 @@ def solve_neumann(mesh: SurfaceMesh, k: int, method: str = "auto",
     above = vals > ZERO_FLOOR_REL * _spectral_scale(K, M)
     if not above.any():
         raise EigenSolveError(
-            f"no eigenvalue above the zero-mode floor among the {k + 1} "
+            f"no eigenvalue above the zero-mode floor among the {vals.size} "
             "smallest: mesh is disconnected")
     mu_ref = vals[above][0]
     zero = vals < ZERO_MODE_REL * mu_ref
