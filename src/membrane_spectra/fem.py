@@ -2,14 +2,21 @@
 
 Stiffness weights are cotangents recovered from edge lengths alone via
 the law of cosines, so the assembly works for metrics without an
-embedding.  Dirichlet problems are solved on the interior vertices;
-Neumann problems on the full matrices with the zero mode detected and
-excluded.  Problems of up to `DENSE_CUTOFF` dofs use dense `eigh`;
-larger ones use shift-invert Lanczos (`eigsh`) on one sparse LU factor
-of the shifted matrix in minimum-degree order, with a start vector drawn
+embedding.  Both matrices are filled, from per-edge and per-vertex sums,
+into the symmetric CSR pattern the mesh builds once and shares (the
+diagonal plus both orientations of every edge), so no assembly sorts.
+Dirichlet problems are solved on the interior vertices; Neumann problems
+on the full matrices with the zero mode detected and excluded.  Problems
+of up to `DENSE_CUTOFF` dofs, and requests for k >= n - 1 pairs, use a
+full-spectrum dense `eigh` sliced to k.  Larger ones use shift-invert
+Lanczos (`eigsh`) on one sparse LU factor of the shifted matrix, which is
+SPD and so factored in SuperLU's symmetric mode without pivoting, in
+minimum-degree order.  The Lanczos basis holds max(2k + 2, 8) vectors (at
+most n), ARPACK stops at `LANCZOS_TOL`, and the start vector is drawn
 from a fixed seed so that repeated solves agree to the last bit.
 Residuals are normalized by the eigenvalue, so every check is invariant
-under rescaling the metric.
+under rescaling the metric, and every pair is still checked against
+`RESIDUAL_TOL`.
 """
 
 from __future__ import annotations
@@ -18,13 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from .mesh import SurfaceMesh
 
 DENSE_CUTOFF = 300           # dofs above which the sparse path is used
 RESIDUAL_TOL = 1e-8          # ||K u - lam M u|| / (lam ||M u||)
+LANCZOS_TOL = 1e-10          # ARPACK's relative accuracy of the Ritz values
 ZERO_FLOOR_REL = 1e-12       # zero-mode floor relative to trace(K)/trace(M)
 ZERO_MODE_REL = 1e-8         # zero-mode threshold relative to mu_reference
 
@@ -57,63 +65,54 @@ class SpectralResult:
         return doc
 
 
+def _on_pattern(mesh: SurfaceMesh, diagonal: np.ndarray,
+                off: np.ndarray) -> csr_matrix:
+    """The symmetric matrix with `diagonal` and, at both orientations of
+    edge e, `off[e]`, on the mesh's shared CSR pattern."""
+    pattern = mesh.csr_pattern()
+    data = np.empty(pattern.indices.size)
+    data[pattern.diagonal] = diagonal
+    data[pattern.upper] = off
+    data[pattern.lower] = off
+    n = mesh.vertex_count
+    return csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
+
+
 def assemble_stiffness(mesh: SurfaceMesh) -> csr_matrix:
     """Cotangent-weight stiffness matrix from intrinsic edge lengths.
 
     Symmetric positive semidefinite with zero row sums.
     """
-    tri = mesh.triangles
     l2 = mesh.tri_lengths() ** 2
-    area = mesh.triangle_areas
     # half-cotangent of the angle at corner c (opposite side c)
-    w = np.empty_like(l2)
-    for c in range(3):
-        a2 = l2[:, c]
-        b2 = l2[:, (c + 1) % 3]
-        c2 = l2[:, (c + 2) % 3]
-        w[:, c] = (b2 + c2 - a2) / (8.0 * area)
-
-    n = mesh.vertex_count
-    rows, cols, vals = [], [], []
-    for c in range(3):
-        i = tri[:, (c + 1) % 3]
-        j = tri[:, (c + 2) % 3]
-        wc = w[:, c]
-        rows += [i, j, i, j]
-        cols += [j, i, i, j]
-        vals += [-wc, -wc, wc, wc]
-    K = coo_matrix((np.concatenate(vals),
-                    (np.concatenate(rows), np.concatenate(cols))),
-                   shape=(n, n)).tocsr()
-    K.sum_duplicates()
-    return K
+    w = ((l2[:, [1, 2, 0]] + l2[:, [2, 0, 1]] - l2)
+         / (8.0 * mesh.triangle_areas[:, None]))
+    # each corner's weight couples the two other corners of its triangle
+    off = -np.bincount(mesh.corner_edges.ravel(), weights=w.ravel(),
+                       minlength=mesh.edge_count)
+    diagonal = np.bincount(mesh.triangles.ravel(),
+                           weights=(w[:, [1, 2, 0]] + w[:, [2, 0, 1]]).ravel(),
+                           minlength=mesh.vertex_count)
+    return _on_pattern(mesh, diagonal, off)
 
 
 def assemble_mass(mesh: SurfaceMesh, lumped: bool = False) -> csr_matrix:
     """Consistent P1 mass matrix: per triangle (T/12) * [[2,1,1],[1,2,1],[1,1,2]].
 
     With lumped=True the row sums are collected on the diagonal (T/3 per
-    corner).  Either way 1^T M 1 equals the total area exactly.
+    corner) of a diagonal matrix.  Either way 1^T M 1 equals the total
+    area exactly.
     """
-    tri = mesh.triangles
-    area = mesh.triangle_areas
+    tri = mesh.triangles.ravel()
+    area = np.repeat(mesh.triangle_areas, 3)
     n = mesh.vertex_count
     if lumped:
-        rows = tri.ravel()
-        vals = np.repeat(area / 3.0, 3)
-        M = coo_matrix((vals, (rows, rows)), shape=(n, n)).tocsr()
-    else:
-        rows, cols, vals = [], [], []
-        for a in range(3):
-            for b in range(3):
-                rows.append(tri[:, a])
-                cols.append(tri[:, b])
-                vals.append(area * ((2.0 if a == b else 1.0) / 12.0))
-        M = coo_matrix((np.concatenate(vals),
-                        (np.concatenate(rows), np.concatenate(cols))),
-                       shape=(n, n)).tocsr()
-    M.sum_duplicates()
-    return M
+        return csr_matrix((np.bincount(tri, weights=area / 3.0, minlength=n),
+                           np.arange(n), np.arange(n + 1)), shape=(n, n))
+    off = np.bincount(mesh.corner_edges.ravel(), weights=area * (1.0 / 12.0),
+                      minlength=mesh.edge_count)
+    diagonal = np.bincount(tri, weights=area * (2.0 / 12.0), minlength=n)
+    return _on_pattern(mesh, diagonal, off)
 
 
 def _spectral_scale(K, M) -> float:
@@ -127,10 +126,14 @@ def _solve_gevp(K, M, k: int, method: str = "auto"):
     if k < 1 or k > n:
         raise EigenSolveError(f"requested {k} eigenpairs from {n} dofs")
     if method == "auto":
-        method = "dense" if n <= DENSE_CUTOFF else "sparse"
+        # ARPACK needs k < n, and a Krylov basis of nearly n vectors buys
+        # nothing over the dense solve
+        method = "dense" if n <= DENSE_CUTOFF or k >= n - 1 else "sparse"
     if method == "dense":
-        vals, vecs = eigh(K.toarray(), M.toarray(),
-                          subset_by_index=[0, k - 1])
+        # the full spectrum, sliced: a subset solve is less accurate and
+        # moves with the number of pairs asked for
+        vals, vecs = eigh(K.toarray(), M.toarray())
+        vals, vecs = vals[:k], vecs[:, :k]
     elif method == "sparse":
         if k >= n:
             raise EigenSolveError("sparse solver needs k < dof count")
@@ -138,13 +141,18 @@ def _solve_gevp(K, M, k: int, method: str = "auto"):
         # solve is invariant under global rescaling of edge lengths
         sigma = -0.1 / M.sum()
         try:
-            # one factorization of K - sigma M, with a fill-reducing
-            # minimum-degree ordering on its (symmetric) pattern
-            lu = splu((K - sigma * M).tocsc(), permc_spec="MMD_AT_PLUS_A")
-            vals, vecs = eigsh(K.tocsc(), k=k, M=M.tocsc(), sigma=sigma,
+            # one factorization of K - sigma M, which is SPD for sigma < 0,
+            # so it needs no pivoting: symmetric mode keeps the diagonal as
+            # pivots on a minimum-degree ordering of its (symmetric) pattern
+            lu = splu((K - sigma * M).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+            # mode 3 applies only OPinv and M, so K is passed for its shape;
+            # the seeded start vector makes repeated solves bit-identical
+            vals, vecs = eigsh(K, k=k, M=M, sigma=sigma,
                                OPinv=LinearOperator((n, n), matvec=lu.solve,
                                                     dtype=float),
-                               rng=0)
+                               v0=np.random.default_rng(0).uniform(-1.0, 1.0, n),
+                               ncv=min(n, max(2 * k + 2, 8)), tol=LANCZOS_TOL)
         except RuntimeError as exc:
             # ARPACK raises ArpackError (ArpackNoConvergence included);
             # SuperLU reports a singular shifted matrix as a RuntimeError
@@ -186,6 +194,10 @@ def solve_dirichlet(mesh: SurfaceMesh, k: int, method: str = "auto",
     re-embedded with exact zeros on boundary vertices.
     """
     interior = mesh.interior_vertex_indices()
+    if interior.size == mesh.vertex_count:
+        raise EigenSolveError(
+            f"mesh has no boundary vertex among its {mesh.vertex_count} "
+            "vertices: the Dirichlet problem needs a boundary")
     if interior.size < k:
         raise EigenSolveError(
             f"only {interior.size} interior dofs, cannot compute {k} eigenpairs")

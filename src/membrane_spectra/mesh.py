@@ -19,6 +19,7 @@ import sys
 from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -109,6 +110,40 @@ def _edge_structure(tri: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     ukeys, corner_edges = np.unique(keys, return_inverse=True)
     edges = np.column_stack([ukeys // n, ukeys % n])
     return edges, corner_edges.reshape(-1, 3)
+
+
+class CsrPattern(NamedTuple):
+    """Symmetric CSR pattern of a mesh: the diagonal plus both orientations
+    of every edge, in canonical order (sorted, unique columns per row).
+
+    `diagonal[v]`, `upper[e]` and `lower[e]` are the positions in the data
+    array of entry (v, v), of (i, j) and of (j, i) for edge e = (i, j)."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    diagonal: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+
+
+def _csr_pattern(edges: np.ndarray, n: int) -> CsrPattern:
+    """The `CsrPattern` of `edges` on `n` vertices, with index arrays in
+    the narrowest dtype that scipy.sparse keeps without copying."""
+    v = np.arange(n)
+    rows = np.concatenate([v, edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([v, edges[:, 1], edges[:, 0]])
+    order = np.argsort(rows * n + cols)
+    slot = np.empty_like(order)
+    slot[order] = np.arange(order.size)
+    index = np.int32 if order.size <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    e = edges.shape[0]
+    pattern = CsrPattern(indptr, cols[order].astype(index), slot[:n],
+                         slot[n:n + e], slot[n + e:])
+    for arr in pattern:
+        arr.flags.writeable = False
+    return pattern
 
 
 def _match_lengths(edges: np.ndarray, n: int, pairs: np.ndarray,
@@ -210,6 +245,7 @@ class SurfaceMesh:
         self.lengths = lens
 
         self._boundary_data = None
+        self._csr = None
         if validate:
             self._validate()
         # areas double as the triangle-inequality check
@@ -256,6 +292,13 @@ class SurfaceMesh:
         ncomp, _ = connected_components(adj, directed=False)
         if ncomp != 1:
             raise MeshError(f"triangle adjacency graph has {ncomp} components")
+
+    def csr_pattern(self) -> CsrPattern:
+        """The read-only symmetric CSR pattern that the stiffness and mass
+        matrices share, built on first use."""
+        if self._csr is None:
+            self._csr = _csr_pattern(self.edges, self.vertex_count)
+        return self._csr
 
     def tri_lengths(self) -> np.ndarray:
         """(F, 3) side lengths; column c is the edge opposite corner c."""

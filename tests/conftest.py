@@ -63,3 +63,12 @@ def square_mesh(n):
             tris.append((v00, v10, v11))
             tris.append((v00, v11, v01))
     return ms.SurfaceMesh(np.array(tris), positions=pos)
+
+
+def octahedron():
+    """Closed regular octahedron: every vertex is interior."""
+    pos = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
+                    [0, 0, 1], [0, 0, -1]], dtype=float)
+    tris = [[0, 2, 4], [2, 1, 4], [1, 3, 4], [3, 0, 4],
+            [2, 0, 5], [1, 2, 5], [3, 1, 5], [0, 3, 5]]
+    return ms.SurfaceMesh(tris, positions=pos)

@@ -8,6 +8,8 @@ import membrane_spectra as ms
 from membrane_spectra import fixtures, save_mesh, verify_with_budget
 from membrane_spectra.cli import main
 
+from conftest import octahedron
+
 
 @pytest.fixture()
 def runner():
@@ -144,6 +146,16 @@ def test_verify_short_map_fails_cleanly(tmp_path, runner):
     assert result.exit_code == 1
     error = json.loads(result.stderr)["error"]
     assert f"map has {vertices - 3} samples for {vertices} vertices" in error
+
+
+def test_verify_closed_mesh_fails_cleanly(tmp_path, runner):
+    m = octahedron()
+    mesh_file = tmp_path / "octahedron.json"
+    save_mesh(mesh_file, m,
+              ms.MapSample(m.positions[:, 0] + 1j * m.positions[:, 1], 1))
+    result = runner.invoke(main, ["verify", str(mesh_file)])
+    assert result.exit_code == 1
+    assert "mesh has no boundary" in json.loads(result.stderr)["error"]
 
 
 def test_config_parse_error_exit_code(runner):

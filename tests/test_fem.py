@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
+from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import membrane_spectra as ms
 from membrane_spectra import fem, fixtures
 from membrane_spectra.fem import EigenSolveError
 
-from conftest import J0_ZERO, J1P_ZERO, square_mesh
+from conftest import J0_ZERO, J1P_ZERO, octahedron, square_mesh
 
 
 def single_triangle_mesh(p0, p1, p2):
@@ -45,6 +46,115 @@ def quadrature_mass(p0, p1, p2):
                              0, 1, 0, lambda x: 1 - x, epsabs=1e-14)
             M[i, j] = val * jac
     return M
+
+
+def _coo_stiffness(mesh):
+    # the COO triplet assembly that the pattern fill replaces
+    tri = mesh.triangles
+    l2 = mesh.tri_lengths() ** 2
+    area = mesh.triangle_areas
+    w = np.empty_like(l2)
+    for c in range(3):
+        a2 = l2[:, c]
+        b2 = l2[:, (c + 1) % 3]
+        c2 = l2[:, (c + 2) % 3]
+        w[:, c] = (b2 + c2 - a2) / (8.0 * area)
+    n = mesh.vertex_count
+    rows, cols, vals = [], [], []
+    for c in range(3):
+        i = tri[:, (c + 1) % 3]
+        j = tri[:, (c + 2) % 3]
+        wc = w[:, c]
+        rows += [i, j, i, j]
+        cols += [j, i, i, j]
+        vals += [-wc, -wc, wc, wc]
+    K = coo_matrix((np.concatenate(vals),
+                    (np.concatenate(rows), np.concatenate(cols))),
+                   shape=(n, n)).tocsr()
+    K.sum_duplicates()
+    return K
+
+
+def _coo_mass(mesh):
+    # the COO triplet assembly that the pattern fill replaces
+    tri = mesh.triangles
+    area = mesh.triangle_areas
+    n = mesh.vertex_count
+    rows, cols, vals = [], [], []
+    for a in range(3):
+        for b in range(3):
+            rows.append(tri[:, a])
+            cols.append(tri[:, b])
+            vals.append(area * ((2.0 if a == b else 1.0) / 12.0))
+    M = coo_matrix((np.concatenate(vals),
+                    (np.concatenate(rows), np.concatenate(cols))),
+                   shape=(n, n)).tocsr()
+    M.sum_duplicates()
+    return M
+
+
+def _relabelled_intrinsic(rings=9):
+    # a conformal disc with its vertices permuted and no positions, so the
+    # pattern's rows are not the generator's ring order
+    mesh, _ = fixtures.instance("conformal-1", rings)
+    perm = np.random.default_rng(11).permutation(mesh.vertex_count)
+    rows = np.column_stack([perm[mesh.edges], mesh.lengths])
+    return ms.SurfaceMesh(perm[mesh.triangles], edge_lengths=rows)
+
+
+class TestPatternAssembly:
+    @pytest.mark.parametrize("name", fixtures.BATTERY + ["relabelled"])
+    def test_matches_coo_reference(self, name):
+        mesh = (_relabelled_intrinsic() if name == "relabelled"
+                else fixtures.instance(name, 12)[0])
+        for new, ref in ((ms.assemble_stiffness(mesh), _coo_stiffness(mesh)),
+                         (ms.assemble_mass(mesh), _coo_mass(mesh))):
+            assert np.array_equal(new.indptr, ref.indptr)
+            assert np.array_equal(new.indices, ref.indices)
+            assert new.indices.dtype == ref.indices.dtype
+            scale = np.max(np.abs(ref.data))
+            np.testing.assert_allclose(new.data, ref.data, rtol=0,
+                                       atol=1e-14 * scale)
+
+    def test_pattern_is_canonical_shared_and_read_only(self, bump_disc12):
+        mesh, _ = bump_disc12
+        pattern = mesh.csr_pattern()
+        assert mesh.csr_pattern() is pattern
+        n, e = mesh.vertex_count, mesh.edge_count
+        assert pattern.indptr[-1] == pattern.indices.size == n + 2 * e
+        rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
+        keys = rows * n + pattern.indices
+        assert np.all(keys[1:] > keys[:-1])        # sorted, no duplicates
+        assert np.array_equal(pattern.indices[pattern.diagonal], np.arange(n))
+        assert np.array_equal(rows[pattern.diagonal], np.arange(n))
+        i, j = mesh.edges.T
+        assert np.array_equal(rows[pattern.upper], i)
+        assert np.array_equal(pattern.indices[pattern.upper], j)
+        assert np.array_equal(rows[pattern.lower], j)
+        assert np.array_equal(pattern.indices[pattern.lower], i)
+        for arr in pattern:
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            pattern.indices[0] = 0
+        K, M = ms.assemble_stiffness(mesh), ms.assemble_mass(mesh)
+        for A in (K, M):
+            assert A.has_canonical_format
+            assert np.shares_memory(A.indices, pattern.indices)
+            assert np.shares_memory(A.indptr, pattern.indptr)
+            np.testing.assert_array_equal(A.toarray(), A.toarray().T)
+
+    def test_pattern_built_once_per_mesh(self, monkeypatch):
+        built = []
+        real = ms.mesh._csr_pattern
+
+        def counted(*args):
+            built.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(ms.mesh, "_csr_pattern", counted)
+        mesh, f = fixtures.instance("conformal-0", 6)
+        ms.verify_inequality(mesh, f)
+        assert built == [mesh.vertex_count]
 
 
 class TestAssembleStiffness:
@@ -142,6 +252,11 @@ class TestSolveDirichlet:
         M = ms.assemble_mass(disc8)
         for u in res.eigenfunctions.T:
             assert u @ (M @ u) == pytest.approx(1.0, rel=1e-10)
+
+    def test_closed_mesh_is_rejected(self):
+        with pytest.raises(EigenSolveError,
+                           match="no boundary vertex among its 6 vertices"):
+            ms.solve_dirichlet(octahedron(), 1)
 
     def test_too_many_eigenpairs(self):
         m = ms.generate_disc(1)  # one interior vertex
@@ -272,6 +387,72 @@ class TestSolverAgreement:
             dense = solve(m, 3, method="dense").eigenvalues
             sparse = solve(m, 3, method="sparse").eigenvalues
             np.testing.assert_allclose(sparse, dense, rtol=1e-7)
+
+    def test_dense_answer_does_not_depend_on_k(self, branched12):
+        mesh, _ = branched12
+        four = ms.solve_neumann(mesh, 4, method="dense").eigenvalues
+        five = ms.solve_neumann(mesh, 5, method="dense").eigenvalues
+        assert np.array_equal(five[:4], four)
+
+    @pytest.mark.parametrize("solve, rings, extra", [
+        (ms.solve_dirichlet, 11, 0),     # 331 interior dofs
+        (ms.solve_neumann, 10, 1)])      # 331 vertices, k + 1 pairs
+    @pytest.mark.parametrize("gap, path", [
+        (2, "eigsh"), (1, "eigh"), (0, "eigh")])
+    def test_auto_near_the_full_spectrum(self, monkeypatch, solve, rings,
+                                         extra, gap, path):
+        # k = n - 2 takes shift-invert with the Lanczos basis capped at n;
+        # k >= n - 1 is left to the dense solver
+        mesh = ms.generate_disc(rings)
+        n = (mesh.vertex_count if extra else
+             mesh.interior_vertex_indices().size)
+        assert n > fem.DENSE_CUTOFF
+        calls = []
+        for name in ("eigh", "eigsh"):
+            original = getattr(fem, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(fem, name, counted)
+        res = solve(mesh, n - gap - extra)
+        assert calls == [path]
+        assert np.max(res.residuals) <= fem.RESIDUAL_TOL
+        if path == "eigsh":
+            monkeypatch.undo()
+            dense = solve(mesh, n - gap - extra, method="dense")
+            np.testing.assert_allclose(res.eigenvalues, dense.eigenvalues,
+                                       rtol=1e-9)
+
+    @pytest.mark.parametrize("name, dirichlet, neumann", [
+        ("conformal-0", 13, 16), ("disc", 13, 26)])
+    def test_lanczos_basis_is_sized_to_the_request(self, monkeypatch, name,
+                                                   dirichlet, neumann):
+        # OPinv applications per solve; the default 20-vector basis run to
+        # machine precision makes 21 and 21 (conformal-0) or 21 and 37 (disc)
+        factors = []
+        real = fem.splu
+
+        class Counted:
+            def __init__(self, lu):
+                self.lu, self.calls = lu, 0
+
+            def solve(self, b):
+                self.calls += 1
+                return self.lu.solve(b)
+
+        def counted(*args, **kwargs):
+            factors.append(Counted(real(*args, **kwargs)))
+            return factors[-1]
+
+        monkeypatch.setattr(fem, "splu", counted)
+        report = ms.verify_inequality(*fixtures.instance(name, 24))
+        calls = [f.calls for f in factors]
+        assert len(calls) == 2
+        assert calls[0] <= dirichlet and calls[1] <= neumann, calls
+        assert max(report.dirichlet_residuals
+                   + report.neumann_residuals) <= fem.RESIDUAL_TOL
 
     def test_sparse_is_deterministic(self):
         m = ms.generate_disc(24)

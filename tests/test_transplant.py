@@ -7,6 +7,8 @@ import membrane_spectra as ms
 from membrane_spectra.transplant import (disc_map_from_positions,
                                          identity_map_from_positions)
 
+from conftest import octahedron
+
 FOUR_PI_3 = 4 * np.pi / 3
 
 
@@ -158,6 +160,11 @@ class TestComputeDegree:
         f = identity_map_from_positions(m)
         with pytest.raises(ValueError, match="proper"):
             ms.compute_degree(m, f.values)
+
+    def test_closed_mesh_is_rejected(self):
+        m = octahedron()
+        with pytest.raises(ValueError, match="mesh has no boundary"):
+            ms.compute_degree(m, m.positions[:, 0] + 1j * m.positions[:, 1])
 
     def test_rejects_non_integral_estimate(self, disc16):
         # boundary on the unit circle but winding 1.5 times

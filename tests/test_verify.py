@@ -11,7 +11,7 @@ from membrane_spectra.verify import (FOUR_PI_3, VerificationReport,
                                      check_eq3_implication, reports_to_csv,
                                      richardson_budget)
 
-from conftest import J0_ZERO, J1P_ZERO
+from conftest import J0_ZERO, J1P_ZERO, octahedron
 
 LAMBDA1_DISC = J0_ZERO ** 2
 MU1_DISC = J1P_ZERO ** 2
@@ -123,6 +123,14 @@ class TestVerifyInequality:
         f = identity_map_from_positions(disc16)
         rep = ms.verify_inequality(disc16, f, degree=1)
         assert rep.degree == 1
+
+    def test_closed_mesh_is_rejected(self):
+        m = octahedron()
+        f = ms.MapSample(m.positions[:, 0] + 1j * m.positions[:, 1], 1)
+        with pytest.raises(ms.EigenSolveError, match="no boundary vertex"):
+            ms.verify_inequality(m, f, degree=1)
+        with pytest.raises(ValueError, match="mesh has no boundary"):
+            ms.verify_inequality(m, f)
 
     def test_scale_invariance(self, disc16):
         f = identity_map_from_positions(disc16)
