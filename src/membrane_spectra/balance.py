@@ -71,7 +71,8 @@ def _jacobian(mesh, f, a, sf, m1):
 def center_of_gravity(mesh: SurfaceMesh, f: MapSample, a: complex = 0.0,
                       ) -> tuple[float, float]:
     """First moments (integral of x1, integral of x2) of the transplant,
-    under consistent-mass quadrature."""
+    under consistent-mass quadrature.  Raises ValueError on a closed mesh."""
+    mesh.require_boundary()
     m1 = assemble_mass(mesh) @ np.ones(mesh.vertex_count)
     g, _ = _moments(mesh, f, complex(a), m1)
     return float(g[0]), float(g[1])
@@ -85,8 +86,9 @@ def balance_center_of_mass(mesh: SurfaceMesh, f: MapSample,
     Damped Newton on the moment map G with its closed-form Jacobian;
     steps are halved to stay inside the disc and to force a residual
     decrease.  Raises BalanceError with the best residual if Newton
-    stalls.
+    stalls, and ValueError on a closed mesh.
     """
+    mesh.require_boundary()
     m1 = assemble_mass(mesh) @ np.ones(mesh.vertex_count)
     area = float(m1.sum())
     tol = tol_rel * area

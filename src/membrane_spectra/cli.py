@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import ctypes
+import multiprocessing
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 
 import click
 import numpy as np
@@ -125,6 +128,81 @@ BATCH_FIXTURES = fixtures.BATTERY
 _batch_instance = fixtures.instance
 
 
+# thread-count functions of OpenBLAS: numpy and SciPy ship it with the
+# prefix "scipy_", the 64-bit-integer build adding the suffix "64_"
+_OPENBLAS_THREAD_FUNCTIONS = [
+    (f"{prefix}openblas_get_num_threads{suffix}",
+     f"{prefix}openblas_set_num_threads{suffix}")
+    for prefix in ("", "scipy_") for suffix in ("", "64_")]
+
+
+def _openblas_libraries():
+    """(get, set) thread-count functions of every OpenBLAS mapped into
+    this process, as /proc/self/maps lists them; a library without both
+    functions is left out.  Empty where /proc/self/maps does not exist."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({parts[5].strip() for parts in
+                            (line.split(maxsplit=5) for line in fh)
+                            if len(parts) == 6
+                            and "openblas" in os.path.basename(parts[5])})
+    except OSError:
+        return []
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_FUNCTIONS:
+            get = getattr(lib, get_name, None)
+            set_ = getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
+                found.append((get, set_))
+                break
+    return found
+
+
+@contextmanager
+def _single_threaded_blas():
+    """Cap every OpenBLAS in the process at one thread, and restore each
+    library's previous count on exit."""
+    libs = _openblas_libraries()
+    saved = [get() for get, _ in libs]
+    try:
+        for _, set_ in libs:
+            set_(1)
+        yield
+    finally:
+        for (_, set_), n in zip(libs, saved):
+            set_(n)
+
+
+def _verdict(name, resolution):
+    return verifymod.verify_inequality(*fixtures.instance(name, resolution))
+
+
+def _pool_verdicts(jobs, workers):
+    """Reports of `jobs` from `workers` forked processes, in job order.
+
+    The finest level is submitted first, so that no long job starts last.
+    Workers are forked, not spawned, because a spawned worker would first
+    import numpy and SciPy again, which takes longer than a `batch` of
+    the default sizes.
+    """
+    order = sorted(range(len(jobs)), key=lambda i: -jobs[i][1])
+    with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = {i: pool.submit(_verdict, jobs[i][0], jobs[i][2])
+                   for i in order}
+        try:
+            return [futures[i].result() for i in range(len(jobs))]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 @main.command()
 @click.option("--refine-levels", type=int, default=2)
 @click.option("--base-resolution", type=int, default=8)
@@ -132,30 +210,37 @@ _batch_instance = fixtures.instance
 @click.option("--out", type=click.Path(), default=None,
               help="also write the full reports as JSON")
 def batch(refine_levels, base_resolution, csv_path, out):
-    """Run the built-in fixture suite across refinement levels."""
+    """Run the built-in fixture suite across refinement levels.
+
+    MEMBRANE_SPECTRA_THREADS > 1 runs the verdicts on that many forked
+    worker processes (POSIX only), with the same output as one process.
+    """
     if refine_levels < 1:
         _fail("refine-levels must be >= 1", code=2)
     threads = os.environ.get("MEMBRANE_SPECTRA_THREADS", "1")
     try:
         workers = int(threads)
     except ValueError:
-        _fail(f"MEMBRANE_SPECTRA_THREADS must be an integer, got {threads!r}",
-              code=2)
+        workers = 0
+    if workers < 1:
+        _fail("MEMBRANE_SPECTRA_THREADS must be a positive integer, "
+              f"got {threads!r}", code=2)
     jobs = [(name, level, base_resolution * 2 ** level)
             for name in fixtures.BATTERY for level in range(refine_levels)]
 
-    def run(job):
-        name, level, res = job
-        return job, verifymod.verify_inequality(*fixtures.instance(name, res))
-
     try:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run, jobs))
-        else:
-            results = [run(job) for job in jobs]
+        # one BLAS thread whatever the worker count, capped before the
+        # fork: each worker's OpenBLAS would otherwise spin a second thread
+        # against the other workers, and the dense eigensolver's last
+        # digits depend on the BLAS thread count
+        with _single_threaded_blas():
+            if workers > 1:
+                reports = _pool_verdicts(jobs, min(workers, len(jobs)))
+            else:
+                reports = [_verdict(name, res) for name, _, res in jobs]
     except (ValueError, RuntimeError) as exc:
         _fail(str(exc))
+    results = list(zip(jobs, reports))
 
     rows = []
     docs = {}

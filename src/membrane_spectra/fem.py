@@ -264,6 +264,6 @@ def rayleigh_quotient(mesh: SurfaceMesh, u: np.ndarray,
     if M is None:
         M = assemble_mass(mesh)
     denom = float(u @ (M @ u))
-    if denom <= 0.0:
-        raise ValueError("Rayleigh quotient of a zero function")
+    if not denom > 0.0:         # written so that NaN fails it
+        raise ValueError(f"Rayleigh quotient needs u^T M u > 0, got {denom}")
     return float(u @ (K @ u)) / denom

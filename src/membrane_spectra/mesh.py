@@ -72,9 +72,10 @@ class MapSample:
         return MapSample(np.exp(1j * theta) * self.values, self.degree)
 
     def check_proper(self, mesh: "SurfaceMesh", tol: float = 1e-6) -> None:
-        """Raise if boundary vertices do not sit on the unit circle."""
-        r = np.abs(self.values[mesh.boundary_vertex_mask()])
-        worst = float(np.max(np.abs(1.0 - r))) if r.size else 0.0
+        """Raise if boundary vertices do not sit on the unit circle, or if
+        the mesh has none."""
+        r = np.abs(self.values[mesh.require_boundary()])
+        worst = float(np.max(np.abs(1.0 - r)))
         if worst > tol:
             raise ValueError(
                 f"map is not proper: boundary modulus deviates from 1 by {worst:.3g}"
@@ -316,6 +317,17 @@ class SurfaceMesh:
 
     def boundary_vertex_mask(self) -> np.ndarray:
         return self._boundary()[1]
+
+    def require_boundary(self) -> np.ndarray:
+        """The boundary vertex mask; raises ValueError on a closed mesh,
+        which carries no proper map to the disc."""
+        mask = self.boundary_vertex_mask()
+        if not mask.any():
+            raise ValueError(
+                f"mesh has no boundary: none of its {self.vertex_count} "
+                "vertices is a boundary vertex, and a proper map to the disc "
+                "needs boundary vertices on the unit circle")
+        return mask
 
     def interior_vertex_indices(self) -> np.ndarray:
         return np.flatnonzero(~self.boundary_vertex_mask())

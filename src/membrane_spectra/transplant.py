@@ -100,11 +100,7 @@ def compute_degree(mesh: SurfaceMesh, values, boundary_tol: float = 1e-6) -> int
     proper (boundary off the unit circle).
     """
     values = np.asarray(values, dtype=complex)
-    boundary = mesh.boundary_vertex_mask()
-    if not boundary.any():
-        raise ValueError("mesh has no boundary: a proper map to the disc "
-                         "needs boundary vertices on the unit circle")
-    r = np.abs(values[boundary])
+    r = np.abs(values[mesh.require_boundary()])
     worst = float(np.max(np.abs(1.0 - r)))
     if worst > boundary_tol:
         raise ValueError(

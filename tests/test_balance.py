@@ -7,6 +7,8 @@ from membrane_spectra.balance import BalanceError
 from membrane_spectra.transplant import (disc_map_from_positions,
                                          identity_map_from_positions)
 
+from conftest import octahedron
+
 GRID_SPACING = 2 * 0.99 / 100  # 101-point grid over [-0.99, 0.99]
 
 
@@ -27,6 +29,14 @@ class TestCenterOfGravity:
         g1, g2 = ms.center_of_gravity(disc8, f, 0.5)
         assert g1 < 0.0
         assert abs(g2) < 0.1 * abs(g1)  # zipper breaks exact mirror symmetry
+
+
+    def test_closed_mesh_rejected(self):
+        m = octahedron()
+        f = ms.MapSample(m.positions[:, 0] + 1j * m.positions[:, 1], 1)
+        with pytest.raises(ValueError,
+                           match="mesh has no boundary: none of its 6 vertices"):
+            ms.center_of_gravity(m, f)
 
 
 class TestJacobian:
@@ -97,3 +107,10 @@ class TestBalance:
         mesh, f = bump_disc12
         with pytest.raises(BalanceError, match="residual"):
             ms.balance_center_of_mass(mesh, f, tol_rel=1e-30, max_iter=2)
+
+    def test_closed_mesh_rejected(self):
+        m = octahedron()
+        f = ms.MapSample(m.positions[:, 0] + 1j * m.positions[:, 1], 1)
+        with pytest.raises(ValueError,
+                           match="mesh has no boundary: none of its 6 vertices"):
+            ms.balance_center_of_mass(m, f)

@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 import membrane_spectra as ms
-from membrane_spectra import fixtures, save_mesh, verify_with_budget
+from membrane_spectra import cli, fixtures, save_mesh, verify_with_budget
 from membrane_spectra.cli import main
 
 from conftest import octahedron
@@ -206,6 +206,86 @@ def test_batch_rejects_non_integer_thread_count(tmp_path, runner):
     error = json.loads(result.stderr)["error"]
     assert "MEMBRANE_SPECTRA_THREADS" in error and "'two'" in error
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_batch_rejects_thread_count_below_one(tmp_path, runner, value):
+    result = runner.invoke(main, ["batch", "--csv", str(tmp_path / "s.csv")],
+                           env={"MEMBRANE_SPECTRA_THREADS": value})
+    assert result.exit_code == 2
+    error = json.loads(result.stderr)["error"]
+    assert "MEMBRANE_SPECTRA_THREADS" in error and f"'{value}'" in error
+    assert not (tmp_path / "s.csv").exists()
+
+
+def _blas_threads():
+    return [get() for get, _ in cli._openblas_libraries()]
+
+
+def _batch_files(tmp_path, runner, base, threads):
+    csv_file = tmp_path / f"slack-{threads}.csv"
+    out = tmp_path / f"reports-{threads}.json"
+    before = _blas_threads()
+    result = runner.invoke(main, ["batch", "--base-resolution", base,
+                                  "--refine-levels", "2",
+                                  "--csv", str(csv_file), "--out", str(out)],
+                           env={"MEMBRANE_SPECTRA_THREADS": threads})
+    assert result.exit_code == 0, result.output
+    assert _blas_threads() == before
+    return csv_file.read_bytes(), out.read_bytes()
+
+
+# at 8 rings the dense eigensolver's last digits depend on the BLAS thread
+# count, on a host with more than one core
+@pytest.mark.parametrize("base", ["6", "8"])
+def test_batch_worker_processes_match_one_process(tmp_path, runner, base):
+    assert (_batch_files(tmp_path, runner, base, "2")
+            == _batch_files(tmp_path, runner, base, "1"))
+
+
+def test_batch_worker_error_matches_one_process(tmp_path, runner,
+                                                monkeypatch):
+    instance = fixtures.instance
+
+    def failing(name, resolution):
+        # two failures: the pool starts the finer one first, but the first
+        # in job order is the one reported, as in one process
+        if (name, resolution) in (("cap-pi6", 6), ("branched", 12)):
+            raise ms.EigenSolveError(f"injected failure on {name} "
+                                     f"at resolution {resolution}")
+        return instance(name, resolution)
+
+    monkeypatch.setattr(fixtures, "instance", failing)
+    errors = []
+    for threads in ("1", "2"):
+        result = runner.invoke(main, ["batch", "--base-resolution", "6",
+                                      "--csv", str(tmp_path / "s.csv")],
+                               env={"MEMBRANE_SPECTRA_THREADS": threads})
+        assert result.exit_code == 1
+        errors.append(result.stderr)
+    assert errors[0] == errors[1]
+    assert json.loads(errors[0]) == {
+        "error": "injected failure on cap-pi6 at resolution 6"}
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_blas_cap_is_one_thread_and_restores_each_count():
+    libs = cli._openblas_libraries()
+    if not libs:
+        pytest.skip("no OpenBLAS with a thread setter is loaded in this "
+                    "process, so there is no count to cap")
+    before = _blas_threads()
+    try:
+        for (_, set_), n in zip(libs, (2, 3)):
+            set_(n)
+        expected = _blas_threads()
+        with cli._single_threaded_blas():
+            assert _blas_threads() == [1] * len(libs)
+        assert _blas_threads() == expected
+    finally:
+        for (_, set_), n in zip(libs, before):
+            set_(n)
+    assert _blas_threads() == before
 
 
 def test_command_output_is_indented_json_of_the_object(tmp_path, runner):

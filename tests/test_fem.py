@@ -326,6 +326,11 @@ class TestRayleighQuotient:
         with pytest.raises(ValueError):
             ms.rayleigh_quotient(disc8, np.zeros(disc8.vertex_count))
 
+    def test_nan_function_rejected(self):
+        m = ms.generate_disc(4)
+        with pytest.raises(ValueError, match="u\\^T M u > 0, got nan"):
+            ms.rayleigh_quotient(m, np.full(m.vertex_count, np.nan))
+
 
 class TestVariationalProperties:
     def test_minmax_dirichlet_and_neumann(self, disc8):

@@ -11,7 +11,7 @@ import membrane_spectra as ms
 from membrane_spectra import fixtures
 from membrane_spectra.mesh import MeshError
 
-from conftest import square_mesh
+from conftest import octahedron, square_mesh
 
 
 def polygon_area(n):
@@ -493,6 +493,13 @@ class TestMapSample:
         path.write_text(json.dumps(doc))
         with pytest.raises(MeshError, match=r"vertex 7 is not finite: \(nan\+0j\)"):
             ms.load_mesh(path)
+
+    def test_check_proper_rejects_closed_mesh(self):
+        m = octahedron()
+        f = ms.MapSample(m.positions[:, 0] + 1j * m.positions[:, 1], 1)
+        with pytest.raises(ValueError,
+                           match="mesh has no boundary: none of its 6 vertices"):
+            f.check_proper(m)
 
 
 class TestCodec:

@@ -163,7 +163,8 @@ class TestComputeDegree:
 
     def test_closed_mesh_is_rejected(self):
         m = octahedron()
-        with pytest.raises(ValueError, match="mesh has no boundary"):
+        with pytest.raises(ValueError,
+                           match="mesh has no boundary: none of its 6 vertices"):
             ms.compute_degree(m, m.positions[:, 0] + 1j * m.positions[:, 1])
 
     def test_rejects_non_integral_estimate(self, disc16):
