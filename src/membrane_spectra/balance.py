@@ -19,6 +19,7 @@ from .mesh import MapSample, SurfaceMesh
 from .transplant import mobius, transplant_coords
 
 BALANCE_REL_TOL = 1e-10      # residual tolerance relative to total area
+MAX_NEWTON_STEPS = 50        # before BalanceError reports the best residual
 MAX_ABS_A = 0.999999
 
 
@@ -78,26 +79,24 @@ def center_of_gravity(mesh: SurfaceMesh, f: MapSample, a: complex = 0.0,
     return float(g[0]), float(g[1])
 
 
-def balance_center_of_mass(mesh: SurfaceMesh, f: MapSample,
-                           tol_rel: float = BALANCE_REL_TOL,
-                           max_iter: int = 50) -> BalanceResult:
-    """Find a with ||G(a)|| <= tol_rel * area, starting from a = 0.
+def balance_center_of_mass(mesh: SurfaceMesh, f: MapSample) -> BalanceResult:
+    """Find a with ||G(a)|| <= BALANCE_REL_TOL * area, starting from a = 0.
 
-    Damped Newton on the moment map G with its closed-form Jacobian;
-    steps are halved to stay inside the disc and to force a residual
-    decrease.  Raises BalanceError with the best residual if Newton
-    stalls, and ValueError on a closed mesh.
+    Damped Newton on the moment map G with its closed-form Jacobian, for
+    at most MAX_NEWTON_STEPS steps; steps are halved to stay inside the
+    disc and to force a residual decrease.  Raises BalanceError with the
+    best residual if Newton stalls, and ValueError on a closed mesh.
     """
     mesh.require_boundary()
     m1 = assemble_mass(mesh) @ np.ones(mesh.vertex_count)
     area = float(m1.sum())
-    tol = tol_rel * area
+    tol = BALANCE_REL_TOL * area
 
     a = 0.0 + 0.0j
     g, sf = _moments(mesh, f, a, m1)
     gnorm = np.linalg.norm(g)
     iterations = 0
-    while gnorm > tol and iterations < max_iter:
+    while gnorm > tol and iterations < MAX_NEWTON_STEPS:
         try:
             step = np.linalg.solve(_jacobian(mesh, f, a, sf, m1), -g)
         except np.linalg.LinAlgError:
@@ -121,15 +120,15 @@ def balance_center_of_mass(mesh: SurfaceMesh, f: MapSample,
         f"(target {tol:.3e}) at a = {a}")
 
 
-def grid_search_balance(mesh: SurfaceMesh, f: MapSample, n: int = 101,
-                        extent: float = 0.99) -> tuple[complex, float]:
-    """Brute-force minimizer of ||G(a)|| over an n-by-n grid in the disc.
+def grid_search_balance(mesh: SurfaceMesh, f: MapSample) -> tuple[complex, float]:
+    """Brute-force minimizer of ||G(a)|| over the 101-by-101 grid on
+    [-0.99, 0.99]^2, cut to the disc.
 
     Independent cross-check for the Newton solver; returns the best grid
     point and its residual.
     """
     m1 = assemble_mass(mesh) @ np.ones(mesh.vertex_count)
-    ticks = np.linspace(-extent, extent, n)
+    ticks = np.linspace(-0.99, 0.99, 101)
     re, im = np.meshgrid(ticks, ticks, indexing="ij")
     aa = (re + 1j * im).ravel()
     aa = aa[np.abs(aa) < 1.0]

@@ -102,10 +102,18 @@ def _resolve_map(m, stored, map_kind):
               help="append a CSV row to this file")
 def verify_cmd(mesh_file, map_kind, degree, out, csv_path):
     """Verify both eigenvalue inequalities on a mesh-plus-map instance."""
+    deg = degree
+    if degree != "auto":
+        try:
+            deg = int(degree)
+        except ValueError:
+            deg = 0
+        if deg < 1:
+            _fail("--degree must be 'auto' or a positive integer, "
+                  f"got {degree!r}", code=2)
     try:
         m, stored = meshmod.load_mesh(mesh_file)
         f = _resolve_map(m, stored, map_kind)
-        deg = "auto" if degree == "auto" else int(degree)
         report = verifymod.verify_inequality(m, f, degree=deg)
         _dump(out, report.to_json_dict())
         if csv_path:
@@ -240,17 +248,14 @@ def batch(refine_levels, base_resolution, csv_path, out):
                 reports = [_verdict(name, res) for name, _, res in jobs]
     except (ValueError, RuntimeError) as exc:
         _fail(str(exc))
-    results = list(zip(jobs, reports))
 
     rows = []
     docs = {}
-    by_fixture = {}
-    for (name, level, res), report in results:
-        by_fixture.setdefault(name, {})[level] = report
-    for (name, level, res), report in results:
-        prev = by_fixture[name].get(level - 1)
-        if prev is not None:
-            report.eps_fem = verifymod.richardson_budget(report, prev)
+    # jobs run fixture by fixture with levels in order, so level l > 0
+    # pairs with the report just before it
+    for i, ((name, level, _), report) in enumerate(zip(jobs, reports)):
+        if level > 0:
+            report.eps_fem = verifymod.richardson_budget(report, reports[i - 1])
         rows.append(report.csv_row(fixture=name, level=level))
         docs[f"{name}:{level}"] = report.to_json_dict()
     with open(csv_path, "w") as fh:

@@ -49,7 +49,6 @@ class SpectralResult:
     eigenvalues: np.ndarray          # ascending, shape (k,)
     eigenfunctions: np.ndarray       # shape (V, k)
     residuals: np.ndarray            # per-pair, relative to lam ||M u||
-    mesh_id: str
     zero_mode_gap: float | None = None   # neumann only: mu_1 - mu_0
 
     def to_json_dict(self, include_eigenfunctions: bool = False) -> dict:
@@ -96,22 +95,16 @@ def assemble_stiffness(mesh: SurfaceMesh) -> csr_matrix:
     return _on_pattern(mesh, diagonal, off)
 
 
-def assemble_mass(mesh: SurfaceMesh, lumped: bool = False) -> csr_matrix:
+def assemble_mass(mesh: SurfaceMesh) -> csr_matrix:
     """Consistent P1 mass matrix: per triangle (T/12) * [[2,1,1],[1,2,1],[1,1,2]].
 
-    With lumped=True the row sums are collected on the diagonal (T/3 per
-    corner) of a diagonal matrix.  Either way 1^T M 1 equals the total
-    area exactly.
+    1^T M 1 equals the total area exactly.
     """
-    tri = mesh.triangles.ravel()
     area = np.repeat(mesh.triangle_areas, 3)
-    n = mesh.vertex_count
-    if lumped:
-        return csr_matrix((np.bincount(tri, weights=area / 3.0, minlength=n),
-                           np.arange(n), np.arange(n + 1)), shape=(n, n))
     off = np.bincount(mesh.corner_edges.ravel(), weights=area * (1.0 / 12.0),
                       minlength=mesh.edge_count)
-    diagonal = np.bincount(tri, weights=area * (2.0 / 12.0), minlength=n)
+    diagonal = np.bincount(mesh.triangles.ravel(), weights=area * (2.0 / 12.0),
+                           minlength=mesh.vertex_count)
     return _on_pattern(mesh, diagonal, off)
 
 
@@ -186,8 +179,8 @@ def _solve_gevp(K, M, k: int, method: str = "auto"):
     return vals, vecs, res
 
 
-def solve_dirichlet(mesh: SurfaceMesh, k: int, method: str = "auto",
-                    lumped: bool = False) -> SpectralResult:
+def solve_dirichlet(mesh: SurfaceMesh, k: int,
+                    method: str = "auto") -> SpectralResult:
     """k smallest eigenpairs with u = 0 on the boundary.
 
     The matrices are restricted to interior vertices; eigenfunctions are
@@ -202,17 +195,17 @@ def solve_dirichlet(mesh: SurfaceMesh, k: int, method: str = "auto",
         raise EigenSolveError(
             f"only {interior.size} interior dofs, cannot compute {k} eigenpairs")
     K = assemble_stiffness(mesh)
-    M = assemble_mass(mesh, lumped=lumped)
+    M = assemble_mass(mesh)
     Ki = K[np.ix_(interior, interior)].tocsr()
     Mi = M[np.ix_(interior, interior)].tocsr()
     vals, vecs, res = _solve_gevp(Ki, Mi, k, method)
     full = np.zeros((mesh.vertex_count, k))
     full[interior] = vecs
-    return SpectralResult("dirichlet", vals, full, res, mesh.descriptor())
+    return SpectralResult("dirichlet", vals, full, res)
 
 
-def solve_neumann(mesh: SurfaceMesh, k: int, method: str = "auto",
-                  lumped: bool = False) -> SpectralResult:
+def solve_neumann(mesh: SurfaceMesh, k: int,
+                  method: str = "auto") -> SpectralResult:
     """k smallest nonzero eigenpairs of the free problem.
 
     The Neumann condition is natural and never imposed.  The constant
@@ -222,7 +215,7 @@ def solve_neumann(mesh: SurfaceMesh, k: int, method: str = "auto",
     if k < 1:
         raise EigenSolveError("k must be >= 1")
     K = assemble_stiffness(mesh)
-    M = assemble_mass(mesh, lumped=lumped)
+    M = assemble_mass(mesh)
     # the zero mode and the k wanted ones; a disconnected mesh shows among
     # them as a second zero mode, or as no eigenvalue above the floor
     vals, vecs, res = _solve_gevp(K, M, k + 1, method)
@@ -251,18 +244,13 @@ def solve_neumann(mesh: SurfaceMesh, k: int, method: str = "auto",
     vecs = vecs - ones[:, None] * ((m1 @ vecs) / area)
     norms = np.sqrt(np.einsum("ij,ij->j", vecs, M @ vecs))
     vecs = vecs / norms
-    return SpectralResult("neumann", vals, vecs, res, mesh.descriptor(),
+    return SpectralResult("neumann", vals, vecs, res,
                           zero_mode_gap=float(vals[0] - mu0))
 
 
-def rayleigh_quotient(mesh: SurfaceMesh, u: np.ndarray,
-                      K=None, M=None) -> float:
-    """(u^T K u) / (u^T M u); matrices are assembled unless supplied."""
+def rayleigh_quotient(u: np.ndarray, K, M) -> float:
+    """(u^T K u) / (u^T M u)."""
     u = np.asarray(u, dtype=float)
-    if K is None:
-        K = assemble_stiffness(mesh)
-    if M is None:
-        M = assemble_mass(mesh)
     denom = float(u @ (M @ u))
     if not denom > 0.0:         # written so that NaN fails it
         raise ValueError(f"Rayleigh quotient needs u^T M u > 0, got {denom}")

@@ -8,15 +8,13 @@ discs, the pulled-back branched metric -- are first-class citizens.
 
 Edge lengths are an (E,) array aligned to `SurfaceMesh.edges`, the
 unique undirected edges (i < j) in lexicographic order.  Everything
-from construction to the JSON file and back works on arrays; a
-`{(i, j): length}` mapping is accepted only as an input adapter.
+from construction to the JSON file and back works on arrays.
 """
 
 from __future__ import annotations
 
 import gc
 import sys
-from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -24,6 +22,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
+
+PROPER_TOL = 1e-6    # largest | |f| - 1 | on the boundary of a proper map
 
 
 class MeshError(ValueError):
@@ -71,12 +71,12 @@ class MapSample:
     def rotated(self, theta: float) -> "MapSample":
         return MapSample(np.exp(1j * theta) * self.values, self.degree)
 
-    def check_proper(self, mesh: "SurfaceMesh", tol: float = 1e-6) -> None:
-        """Raise if boundary vertices do not sit on the unit circle, or if
-        the mesh has none."""
+    def check_proper(self, mesh: "SurfaceMesh") -> None:
+        """Raise if boundary vertices sit farther than PROPER_TOL from the
+        unit circle, or if the mesh has none."""
         r = np.abs(self.values[mesh.require_boundary()])
         worst = float(np.max(np.abs(1.0 - r)))
-        if worst > tol:
+        if not worst <= PROPER_TOL:     # written so that NaN fails it
             raise ValueError(
                 f"map is not proper: boundary modulus deviates from 1 by {worst:.3g}"
             )
@@ -184,12 +184,11 @@ class SurfaceMesh:
     positions : array_like, shape (V, 3), optional
         Embedded vertex coordinates.  When given and `edge_lengths` is
         not, edge lengths are derived from them.
-    edge_lengths : array_like or mapping, optional
+    edge_lengths : array_like, optional
         Positive lengths as an (E,) array aligned to `edges`; or
-        (R, 3) rows [i, j, length], or a mapping {(i, j): length}, in
-        any order and orientation, matched to `edges` once.  Takes
-        precedence over `positions` as the metric; one of the two is
-        required.
+        (R, 3) rows [i, j, length] in any order and orientation, matched
+        to `edges` once.  Takes precedence over `positions` as the
+        metric; one of the two is required.
     validate : bool
         Skip invariant checks when False (test fixtures only).
     """
@@ -220,11 +219,7 @@ class SurfaceMesh:
         self.edges, self.corner_edges = _edge_structure(tri, self.vertex_count)
         self.edge_count = self.edges.shape[0]
 
-        if isinstance(edge_lengths, Mapping):
-            pairs = np.array(list(edge_lengths), dtype=np.int64).reshape(-1, 2)
-            values = np.fromiter(edge_lengths.values(), float, len(edge_lengths))
-            lens = _match_lengths(self.edges, self.vertex_count, pairs, values)
-        elif edge_lengths is not None:
+        if edge_lengths is not None:
             lens = np.array(edge_lengths, dtype=float)
             if lens.ndim == 2 and lens.shape[1] == 3:
                 pairs = lens[:, :2].astype(np.int64)

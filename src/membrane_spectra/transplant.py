@@ -83,29 +83,22 @@ def transplant_coords(mesh: SurfaceMesh, f: MapSample, a: complex = 0.0,
     return SphereFunctions(x1, x2, x3)
 
 
-def dirichlet_energy(mesh: SurfaceMesh, u: np.ndarray, K=None) -> float:
+def dirichlet_energy(mesh: SurfaceMesh, u: np.ndarray) -> float:
     """u^T K u with the cotangent stiffness K (conformally invariant)."""
-    if K is None:
-        K = assemble_stiffness(mesh)
     u = np.asarray(u, dtype=float)
-    return float(u @ (K @ u))
+    return float(u @ (assemble_stiffness(mesh) @ u))
 
 
-def compute_degree(mesh: SurfaceMesh, values, boundary_tol: float = 1e-6) -> int:
+def compute_degree(mesh: SurfaceMesh, f: MapSample) -> int:
     """Covering degree of a proper map to the disc.
 
     Estimates (1/pi) * integral of the Jacobian by summing the signed
     areas of the piecewise-linear image triangles, then rounds; fails if
     the estimate is farther than 0.05 from an integer or the map is not
-    proper (boundary off the unit circle).
+    proper (`MapSample.check_proper`).
     """
-    values = np.asarray(values, dtype=complex)
-    r = np.abs(values[mesh.require_boundary()])
-    worst = float(np.max(np.abs(1.0 - r)))
-    if worst > boundary_tol:
-        raise ValueError(
-            f"map is not proper: boundary modulus off the unit circle by {worst:.3g}")
-    tri = values[mesh.triangles]
+    f.check_proper(mesh)
+    tri = f.values[mesh.triangles]
     signed = 0.5 * ((tri[:, 1] - tri[:, 0]).conj() * (tri[:, 2] - tri[:, 0])).imag
     estimate = float(signed.sum()) / np.pi
     degree = int(round(estimate))

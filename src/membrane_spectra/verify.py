@@ -58,7 +58,6 @@ class VerificationReport:
     dirichlet_residuals: list = field(default_factory=list)
     neumann_residuals: list = field(default_factory=list)
     eps_fem: dict | None = None       # two-level Richardson budget per margin
-    failure: str | None = None
 
     # margins that must be nonnegative up to the discretization budget
     def margin_upper(self) -> float:
@@ -92,8 +91,6 @@ class VerificationReport:
             doc["eps_fem"] = dict(self.eps_fem)
             doc["budgeted_slack2"] = self.budgeted_slack2()
             doc["budgeted_slack3"] = self.budgeted_slack3()
-        if self.failure is not None:
-            doc["failure"] = self.failure
         return doc
 
     def csv_row(self, fixture: str = "", level: int = 0) -> dict:
@@ -115,8 +112,7 @@ class VerificationReport:
         }
 
 
-def trial_bound_sum(mesh: SurfaceMesh, f: MapSample, a: complex,
-                    K=None, M=None) -> float:
+def trial_bound_sum(mesh: SurfaceMesh, f: MapSample, a: complex) -> float:
     """Sum of reciprocal Rayleigh quotients of the balanced transplants.
 
     The parameter a must already balance the center of gravity to 1e-8
@@ -125,10 +121,8 @@ def trial_bound_sum(mesh: SurfaceMesh, f: MapSample, a: complex,
     and rotated into an M-orthogonal pair, so the discrete reciprocal-sum
     bound applies verbatim.
     """
-    if K is None:
-        K = fem.assemble_stiffness(mesh)
-    if M is None:
-        M = fem.assemble_mass(mesh)
+    K = fem.assemble_stiffness(mesh)
+    M = fem.assemble_mass(mesh)
     ones = np.ones(mesh.vertex_count)
     m1 = M @ ones
     area = float(m1.sum())
@@ -154,7 +148,7 @@ def trial_bound_sum(mesh: SurfaceMesh, f: MapSample, a: complex,
 
     total = 0.0
     for u in (sf.x3, w1, w2):
-        total += 1.0 / fem.rayleigh_quotient(mesh, u, K=K, M=M)
+        total += 1.0 / fem.rayleigh_quotient(u, K, M)
     return total
 
 
@@ -165,14 +159,14 @@ def verify_eq3(report: VerificationReport) -> tuple[float, float, float]:
     return lhs3, rhs3, rhs3 - lhs3
 
 
-def check_eq3_implication(report: VerificationReport,
-                          rel_tol: float = 1e-12) -> None:
+def check_eq3_implication(report: VerificationReport) -> None:
     """Assert algebraically that the product inequality follows from the
     reciprocal one when mu1 <= mu2:
 
         slack3 >= lambda1 * mu1 * d * (4 pi / 3) * A * slack2.
 
-    Raises AssertionError if the identity chain fails (beyond rounding).
+    Raises AssertionError if the identity chain fails beyond rounding,
+    1e-12 of |rhs3| + |lhs3|.
     """
     # both checks are written so that NaN fails them
     if not report.mu1 <= report.mu2:
@@ -181,7 +175,7 @@ def check_eq3_implication(report: VerificationReport,
     bound = (report.lambda1 * report.mu1 * report.degree * FOUR_PI_3
              * report.area * report.slack2)
     scale = abs(report.rhs3) + abs(report.lhs3)
-    if not report.slack3 >= bound - rel_tol * scale:
+    if not report.slack3 >= bound - 1e-12 * scale:
         raise AssertionError(
             f"slack3={report.slack3:.6g} below the implied bound {bound:.6g}")
 
@@ -192,14 +186,16 @@ def verify_inequality(mesh: SurfaceMesh, f: MapSample,
 
     degree="auto" estimates the covering degree from the map's Jacobian
     integral; pass an integer to override for coarsely sampled maps.
+    Either way the map must be proper (`MapSample.check_proper`).
     """
     area = mesh.total_area()
     if degree == "auto":
-        d = compute_degree(mesh, f.values)
+        d = compute_degree(mesh, f)
     else:
         d = int(degree)
         if d < 1:
             raise ValueError("degree must be a positive integer")
+        f.check_proper(mesh)
 
     dirichlet = fem.solve_dirichlet(mesh, 1)
     neumann = fem.solve_neumann(mesh, 2)

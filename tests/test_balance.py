@@ -103,10 +103,13 @@ class TestBalance:
         doc = ms.balance_center_of_mass(disc8, f).to_json_dict()
         assert set(doc) == {"a", "residual", "iterations"}
 
-    def test_nonconvergence_reports_best_residual(self, bump_disc12):
+    def test_nonconvergence_reports_best_residual(self, bump_disc12,
+                                                  monkeypatch):
         mesh, f = bump_disc12
+        monkeypatch.setattr(balance, "BALANCE_REL_TOL", 1e-30)
+        monkeypatch.setattr(balance, "MAX_NEWTON_STEPS", 2)
         with pytest.raises(BalanceError, match="residual"):
-            ms.balance_center_of_mass(mesh, f, tol_rel=1e-30, max_iter=2)
+            ms.balance_center_of_mass(mesh, f)
 
     def test_closed_mesh_rejected(self):
         m = octahedron()

@@ -148,6 +148,28 @@ def test_verify_short_map_fails_cleanly(tmp_path, runner):
     assert f"map has {vertices - 3} samples for {vertices} vertices" in error
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", "0"])
+def test_verify_rejects_bad_degree(tmp_path, runner, value):
+    mesh_file = tmp_path / "disc.json"
+    runner.invoke(main, ["gen", "--shape", "disc", "--resolution", "4",
+                         "--out", str(mesh_file)])
+    result = runner.invoke(main, ["verify", str(mesh_file), "--map", "id",
+                                  "--degree", value])
+    assert result.exit_code == 2
+    error = json.loads(result.stderr)["error"]
+    assert "--degree" in error and f"'{value}'" in error
+
+
+def test_verify_explicit_degree(tmp_path, runner):
+    mesh_file = tmp_path / "branched.json"
+    runner.invoke(main, ["gen", "--shape", "branched-disc",
+                         "--resolution", "6", "--out", str(mesh_file)])
+    result = runner.invoke(main, ["verify", str(mesh_file), "--degree", "2"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output) == ms.verify_inequality(
+        *ms.load_mesh(mesh_file), degree=2).to_json_dict()
+
+
 def test_verify_closed_mesh_fails_cleanly(tmp_path, runner):
     m = octahedron()
     mesh_file = tmp_path / "octahedron.json"

@@ -97,7 +97,7 @@ class TestBranchedDoubleDisc:
     def test_degree(self, branched12):
         mesh, f = branched12
         assert f.degree == 2
-        assert ms.compute_degree(mesh, f.values) == 2
+        assert ms.compute_degree(mesh, f) == 2
 
     def test_topology_still_a_disc(self, branched12):
         assert branched12[0].topology() == ms.Topology(0, 1, 1)
@@ -279,8 +279,8 @@ class TestBoundaryLoops:
 class TestTotalArea:
     def test_unit_right_triangle(self):
         m = ms.SurfaceMesh([[0, 1, 2]],
-                           edge_lengths={(0, 1): 1.0, (0, 2): 1.0,
-                                         (1, 2): np.sqrt(2.0)})
+                           edge_lengths=[[0, 1, 1.0], [0, 2, 1.0],
+                                         [1, 2, np.sqrt(2.0)]])
         assert m.total_area() == pytest.approx(0.5, rel=1e-14)
 
     def test_reindexing_invariance(self, disc8):
@@ -288,9 +288,8 @@ class TestTotalArea:
         tris = disc8.triangles[rng.permutation(disc8.triangles.shape[0])]
         perm = rng.permutation(disc8.vertex_count)
         m2 = ms.SurfaceMesh(perm[tris], positions=None,
-                            edge_lengths={(int(perm[i]), int(perm[j])): float(l)
-                                          for (i, j), l in zip(disc8.edges,
-                                                               disc8.lengths)})
+                            edge_lengths=np.column_stack([perm[disc8.edges],
+                                                          disc8.lengths]))
         assert m2.total_area() == pytest.approx(disc8.total_area(), rel=1e-13)
 
     def test_refinement_halves_area_error(self):
@@ -333,7 +332,8 @@ class TestTopologyOp:
                 u = i * n + j
                 v = ((i + 1) % n) * n + (j + 1) % n
                 lens[(min(u, v), max(u, v))] = np.sqrt(2.0)
-        m = ms.SurfaceMesh(np.array(tris), edge_lengths=lens)
+        m = ms.SurfaceMesh(np.array(tris),
+                           edge_lengths=[[u, v, l] for (u, v), l in lens.items()])
         t = m.topology()
         assert t == ms.Topology(genus_p=1, contours_r=1,
                                 euler_characteristic=-1)
@@ -343,7 +343,7 @@ class TestValidation:
     def test_triangle_inequality_violation(self):
         with pytest.raises(MeshError, match="triangle inequality"):
             ms.SurfaceMesh([[0, 1, 2]],
-                           edge_lengths={(0, 1): 1.0, (0, 2): 1.0, (1, 2): 2.5})
+                           edge_lengths=[[0, 1, 1.0], [0, 2, 1.0], [1, 2, 2.5]])
 
     def test_inconsistent_orientation(self):
         pos = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
@@ -380,9 +380,9 @@ class TestValidation:
         with pytest.raises(MeshError, match="expected 3 edge lengths"):
             ms.SurfaceMesh([[0, 1, 2]], edge_lengths=[1.0, 1.0])
 
-    def test_mapping_adapter_accepts_either_orientation(self):
+    def test_length_rows_accept_either_orientation(self):
         m = ms.SurfaceMesh([[0, 1, 2]],
-                           edge_lengths={(1, 0): 3.0, (0, 2): 4.0, (2, 1): 5.0})
+                           edge_lengths=[[1, 0, 3.0], [0, 2, 4.0], [2, 1, 5.0]])
         assert np.array_equal(m.lengths, [3.0, 4.0, 5.0])
 
 

@@ -124,10 +124,21 @@ class TestVerifyInequality:
         rep = ms.verify_inequality(disc16, f, degree=1)
         assert rep.degree == 1
 
+    @pytest.mark.parametrize("degree", [1, "auto"])
+    def test_improper_map_is_rejected_at_any_degree(self, disc16, degree):
+        # the annulus' inner circle, and a disc shrunk by 0.9, leave the
+        # boundary off the unit circle
+        annulus = ms.generate_annulus(0.5, 8)
+        shrunk = identity_map_from_positions(disc16)
+        for mesh, f in ((annulus, identity_map_from_positions(annulus)),
+                        (disc16, ms.MapSample(0.9 * shrunk.values, 1))):
+            with pytest.raises(ValueError, match="map is not proper"):
+                ms.verify_inequality(mesh, f, degree=degree)
+
     def test_closed_mesh_is_rejected(self):
         m = octahedron()
         f = ms.MapSample(m.positions[:, 0] + 1j * m.positions[:, 1], 1)
-        with pytest.raises(ms.EigenSolveError, match="no boundary vertex"):
+        with pytest.raises(ValueError, match="mesh has no boundary"):
             ms.verify_inequality(m, f, degree=1)
         with pytest.raises(ValueError, match="mesh has no boundary"):
             ms.verify_inequality(m, f)
