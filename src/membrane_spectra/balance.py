@@ -124,28 +124,15 @@ def grid_search_balance(mesh: SurfaceMesh, f: MapSample) -> tuple[complex, float
     """Brute-force minimizer of ||G(a)|| over the 101-by-101 grid on
     [-0.99, 0.99]^2, cut to the disc.
 
-    Independent cross-check for the Newton solver; returns the best grid
-    point and its residual.
+    Independent cross-check for the Newton solver: it evaluates the same
+    transplant (`_moments`) at every grid point and uses no Jacobian or
+    step control.  Returns the best grid point and its residual.
     """
     m1 = assemble_mass(mesh) @ np.ones(mesh.vertex_count)
     ticks = np.linspace(-0.99, 0.99, 101)
     re, im = np.meshgrid(ticks, ticks, indexing="ij")
     aa = (re + 1j * im).ravel()
     aa = aa[np.abs(aa) < 1.0]
-
-    vals = f.values
-    boundary = mesh.boundary_vertex_mask()
-    w = (vals[None, :] - aa[:, None]) / (1.0 - np.conj(aa)[:, None] * vals[None, :])
-    r = np.abs(w)
-    np.divide(w, r, out=w, where=r > 1.0)
-    r2 = (w * w.conj()).real
-    denom = 1.0 + r2
-    x1 = 2.0 * w.real / denom
-    x2 = 2.0 * w.imag / denom
-    wb = w[:, boundary]
-    wb = wb / np.abs(wb)
-    x1[:, boundary] = wb.real
-    x2[:, boundary] = wb.imag
-    g = np.hypot(x1 @ m1, x2 @ m1)
+    g = [np.linalg.norm(_moments(mesh, f, a, m1)[0]) for a in aa]
     best = int(np.argmin(g))
     return complex(aa[best]), float(g[best])

@@ -81,12 +81,8 @@ def _resolve_map(m, stored, map_kind):
             raise ValueError("mesh file carries no map samples")
         return stored
     if map_kind == "id":
-        if m.positions is None:
-            raise ValueError("identity map needs embedded vertices")
         return identity_map_from_positions(m)
-    if map_kind == "stereo":
-        return disc_map_from_positions(m)
-    raise ValueError(f"unknown map kind {map_kind!r}")
+    return disc_map_from_positions(m)      # "stereo", as click.Choice allows
 
 
 @main.command(name="verify")
@@ -105,10 +101,8 @@ def verify_cmd(mesh_file, map_kind, degree, out, csv_path):
     deg = degree
     if degree != "auto":
         try:
-            deg = int(degree)
+            deg = meshmod.positive_degree(int(degree))
         except ValueError:
-            deg = 0
-        if deg < 1:
             _fail("--degree must be 'auto' or a positive integer, "
                   f"got {degree!r}", code=2)
     try:

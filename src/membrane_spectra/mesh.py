@@ -14,6 +14,7 @@ from construction to the JSON file and back works on arrays.
 from __future__ import annotations
 
 import gc
+import operator
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -41,6 +42,19 @@ class Topology:
     euler_characteristic: int
 
 
+def positive_degree(value) -> int:
+    """`value` as a covering degree, an int >= 1.  Anything that is not an
+    integer (a float, a bool, a string) raises MeshError: a degree is never
+    truncated or parsed."""
+    try:
+        degree = operator.index(value)
+    except TypeError:
+        degree = 0
+    if isinstance(value, bool) or degree < 1:
+        raise MeshError(f"degree must be a positive integer, got {value!r}")
+    return degree
+
+
 @dataclass(frozen=True)
 class MapSample:
     """Per-vertex samples of a proper map to the closed unit disc.
@@ -51,7 +65,8 @@ class MapSample:
         Finite complex array of shape (V,); |values| <= 1 up to rounding, with
         boundary vertices on the unit circle.
     degree : int
-        Covering degree of the map (1 for injective maps).
+        Covering degree of the map (1 for injective maps), checked by
+        `positive_degree`.
     """
 
     values: np.ndarray
@@ -65,8 +80,7 @@ class MapSample:
                             f"{vals[bad[0]]}")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-        if self.degree < 1:
-            raise ValueError(f"degree must be a positive integer, got {self.degree}")
+        object.__setattr__(self, "degree", positive_degree(self.degree))
 
     def rotated(self, theta: float) -> "MapSample":
         return MapSample(np.exp(1j * theta) * self.values, self.degree)
@@ -500,16 +514,14 @@ def generate_branched_double_disc(rings: int) -> tuple[SurfaceMesh, MapSample]:
 def generate_conformal_disc(rings: int, log_factor) -> tuple[SurfaceMesh, MapSample]:
     """Disc with the conformally scaled metric e^{2 phi} |dz|^2.
 
-    `log_factor` is either a callable evaluated at the vertex complex
-    coordinates or an array of per-vertex samples of phi.  Edge lengths
-    get the endpoint-averaged factor e^{(phi(u) + phi(v)) / 2}.  The map
-    sample is the identity, degree 1.
+    `log_factor` is a callable that returns phi at an array of vertex
+    complex coordinates.  Edge lengths get the endpoint-averaged factor
+    e^{(phi(u) + phi(v)) / 2}.  The map sample is the identity, degree 1.
     """
     if rings < 1:
         raise ValueError(f"rings must be >= 1, got {rings}")
     z, tris = _disc_structure(rings)
-    phi = np.asarray(log_factor(z) if callable(log_factor) else log_factor,
-                     dtype=float)
+    phi = np.asarray(log_factor(z), dtype=float)
     if phi.shape != z.shape:
         raise ValueError(f"expected {z.size} log-factor samples, got {phi.shape}")
     if not np.all(np.isfinite(phi)):
@@ -534,7 +546,7 @@ def mesh_to_json_dict(mesh: SurfaceMesh, map_sample: MapSample | None = None) ->
     if map_sample is not None:
         vals = map_sample.values
         doc["map"] = np.column_stack([vals.real, vals.imag]).tolist()
-        doc["degree"] = int(map_sample.degree)
+        doc["degree"] = map_sample.degree
     return doc
 
 
@@ -557,7 +569,7 @@ def mesh_from_json_dict(doc: dict) -> tuple[SurfaceMesh, MapSample | None]:
         if vals.shape[0] != mesh.vertex_count:
             raise MeshError(f"map has {vals.shape[0]} samples for "
                             f"{mesh.vertex_count} vertices")
-        ms = MapSample(vals.view(complex).ravel(), int(doc.get("degree", 1)))
+        ms = MapSample(vals.view(complex).ravel(), doc.get("degree", 1))
     return mesh, ms
 
 

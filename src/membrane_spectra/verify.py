@@ -22,19 +22,21 @@ import numpy as np
 
 from . import fem
 from .balance import BalanceResult, balance_center_of_mass, center_of_gravity
-from .mesh import MapSample, SurfaceMesh
+from .mesh import MapSample, SurfaceMesh, positive_degree
 from .transplant import compute_degree, transplant_coords
 
 FOUR_PI_3 = 4.0 * np.pi / 3.0
 SAFETY = 2.0     # Richardson budget: this many times the two-level change
 
-CSV_FIELDS = [
-    "fixture", "level", "mesh_resolution", "area", "degree",
-    "lambda1", "mu1", "mu2",
-    "lhs2", "rhs2", "slack2", "lhs3", "rhs3", "slack3",
-    "trial_sum", "balance_residual", "balance_iterations",
-    "eps_slack2", "eps_slack3", "eps_upper", "eps_lower",
-]
+# the report's scalars in CSV column order, and the margins that carry a
+# Richardson budget; the JSON document, the CSV row and the budget are
+# all built from these two tuples
+SCALARS = ("mesh_resolution", "area", "degree", "lambda1", "mu1", "mu2",
+           "lhs2", "rhs2", "slack2", "lhs3", "rhs3", "slack3", "trial_sum")
+MARGINS = ("slack2", "slack3", "upper", "lower")
+CSV_FIELDS = ["fixture", "level", *SCALARS,
+              "balance_residual", "balance_iterations",
+              *(f"eps_{name}" for name in MARGINS)]
 
 
 @dataclass
@@ -68,6 +70,10 @@ class VerificationReport:
         """Trial sum minus A / (d * 4 pi / 3) (the proof's energy/mass chain)."""
         return self.trial_sum - self.area / (self.degree * FOUR_PI_3)
 
+    def _margins(self) -> tuple:
+        """The values of MARGINS, in that order."""
+        return self.slack2, self.slack3, self.margin_upper(), self.margin_lower()
+
     def budgeted_slack2(self) -> float:
         return self.slack2 + (self.eps_fem or {}).get("slack2", 0.0)
 
@@ -75,16 +81,9 @@ class VerificationReport:
         return self.slack3 + (self.eps_fem or {}).get("slack3", 0.0)
 
     def to_json_dict(self) -> dict:
-        doc = {
-            "lambda1": self.lambda1, "mu1": self.mu1, "mu2": self.mu2,
-            "area": self.area, "degree": self.degree,
-            "lhs2": self.lhs2, "rhs2": self.rhs2, "slack2": self.slack2,
-            "lhs3": self.lhs3, "rhs3": self.rhs3, "slack3": self.slack3,
-            "trial_sum": self.trial_sum,
-            "mesh_resolution": self.mesh_resolution,
-            "dirichlet_residuals": list(self.dirichlet_residuals),
-            "neumann_residuals": list(self.neumann_residuals),
-        }
+        doc = {name: getattr(self, name) for name in SCALARS}
+        doc["dirichlet_residuals"] = list(self.dirichlet_residuals)
+        doc["neumann_residuals"] = list(self.neumann_residuals)
         if self.balance is not None:
             doc["balance"] = self.balance.to_json_dict()
         if self.eps_fem is not None:
@@ -95,21 +94,11 @@ class VerificationReport:
 
     def csv_row(self, fixture: str = "", level: int = 0) -> dict:
         eps = self.eps_fem or {}
-        return {
-            "fixture": fixture, "level": level,
-            "mesh_resolution": self.mesh_resolution,
-            "area": self.area, "degree": self.degree,
-            "lambda1": self.lambda1, "mu1": self.mu1, "mu2": self.mu2,
-            "lhs2": self.lhs2, "rhs2": self.rhs2, "slack2": self.slack2,
-            "lhs3": self.lhs3, "rhs3": self.rhs3, "slack3": self.slack3,
-            "trial_sum": self.trial_sum,
-            "balance_residual": self.balance.residual if self.balance else "",
-            "balance_iterations": self.balance.iterations if self.balance else "",
-            "eps_slack2": eps.get("slack2", ""),
-            "eps_slack3": eps.get("slack3", ""),
-            "eps_upper": eps.get("upper", ""),
-            "eps_lower": eps.get("lower", ""),
-        }
+        bal = self.balance
+        return dict(zip(CSV_FIELDS, (
+            fixture, level, *(getattr(self, name) for name in SCALARS),
+            bal.residual if bal else "", bal.iterations if bal else "",
+            *(eps.get(name, "") for name in MARGINS)), strict=True))
 
 
 def trial_bound_sum(mesh: SurfaceMesh, f: MapSample, a: complex) -> float:
@@ -185,16 +174,15 @@ def verify_inequality(mesh: SurfaceMesh, f: MapSample,
     """Run the full pipeline and fill a VerificationReport.
 
     degree="auto" estimates the covering degree from the map's Jacobian
-    integral; pass an integer to override for coarsely sampled maps.
+    integral; pass an integer to override for coarsely sampled maps (see
+    `mesh.positive_degree`: a float or bool raises, it is not truncated).
     Either way the map must be proper (`MapSample.check_proper`).
     """
     area = mesh.total_area()
     if degree == "auto":
         d = compute_degree(mesh, f)
     else:
-        d = int(degree)
-        if d < 1:
-            raise ValueError("degree must be a positive integer")
+        d = positive_degree(degree)
         f.check_proper(mesh)
 
     dirichlet = fem.solve_dirichlet(mesh, 1)
@@ -230,13 +218,10 @@ def richardson_budget(fine: VerificationReport,
             f"Richardson budget needs two distinct levels: fine level "
             f"{fine.mesh_resolution} equals coarse level "
             f"{coarse.mesh_resolution}")
-    return {
-        "slack2": SAFETY * abs(fine.slack2 - coarse.slack2),
-        "slack3": SAFETY * abs(fine.slack3 - coarse.slack3),
-        "upper": SAFETY * abs(fine.margin_upper() - coarse.margin_upper()),
-        "lower": SAFETY * abs(fine.margin_lower() - coarse.margin_lower()),
-        "coarse_resolution": coarse.mesh_resolution,
-    }
+    budget = {name: SAFETY * abs(new - old) for name, new, old in
+              zip(MARGINS, fine._margins(), coarse._margins(), strict=True)}
+    budget["coarse_resolution"] = coarse.mesh_resolution
+    return budget
 
 
 def verify_with_budget(make_instance, resolution: int) -> VerificationReport:

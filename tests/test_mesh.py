@@ -452,7 +452,9 @@ class TestJsonInterchange:
 
     @pytest.mark.parametrize("key, bad", [("map", [[0.0, 1.0, 2.0]]),
                                           ("edge_lengths", [[0, 1]]),
-                                          ("edge_lengths", [[0, 1.5, 1.0]])])
+                                          ("edge_lengths", [[0, 1.5, 1.0]]),
+                                          ("degree", 2.9), ("degree", True),
+                                          ("degree", "2"), ("degree", 0)])
     def test_malformed_rows_rejected(self, branched12, key, bad):
         doc = ms.mesh.mesh_to_json_dict(*branched12)
         doc[key] = bad
@@ -484,6 +486,15 @@ class TestMapSample:
         vals[[3, 5]] = bad
         with pytest.raises(MeshError, match="vertex 3 is not finite"):
             ms.MapSample(vals, 1)
+
+    @pytest.mark.parametrize("degree", [1.5, 2.0, True, "1", 0, -2])
+    def test_degree_must_be_a_positive_integer(self, degree):
+        with pytest.raises(MeshError, match="degree must be a positive integer"):
+            ms.MapSample(np.zeros(3), degree)
+
+    def test_numpy_integer_degree_becomes_int(self):
+        f = ms.MapSample(np.zeros(3), np.int64(2))
+        assert f.degree == 2 and type(f.degree) is int
 
     def test_null_sample_in_file_rejected(self, tmp_path, bump_disc12):
         # the codec writes NaN as null, which reads back as NaN

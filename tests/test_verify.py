@@ -124,6 +124,12 @@ class TestVerifyInequality:
         rep = ms.verify_inequality(disc16, f, degree=1)
         assert rep.degree == 1
 
+    @pytest.mark.parametrize("degree", [1.5, True, 2.7, "2", 0])
+    def test_non_integer_degree_is_rejected(self, disc16, degree):
+        f = identity_map_from_positions(disc16)
+        with pytest.raises(ValueError, match="degree must be a positive integer"):
+            ms.verify_inequality(disc16, f, degree=degree)
+
     @pytest.mark.parametrize("degree", [1, "auto"])
     def test_improper_map_is_rejected_at_any_degree(self, disc16, degree):
         # the annulus' inner circle, and a disc shrunk by 0.9, leave the
@@ -151,13 +157,17 @@ class TestVerifyInequality:
             assert rep.lhs2 == pytest.approx(base.lhs2, rel=1e-9)
             assert rep.slack2 == pytest.approx(base.slack2, rel=1e-9)
 
-    def test_report_json(self, disc16):
-        f = identity_map_from_positions(disc16)
-        doc = ms.verify_inequality(disc16, f).to_json_dict()
-        for key in ("lambda1", "mu1", "mu2", "area", "degree", "lhs2",
-                    "rhs2", "slack2", "lhs3", "rhs3", "slack3", "trial_sum",
-                    "balance", "dirichlet_residuals", "neumann_residuals"):
-            assert key in doc
+    def test_report_json(self):
+        rep = ms.verify_with_budget(partial(fixtures.instance, "disc"), 8)
+        doc = rep.to_json_dict()
+        assert set(doc) == {
+            "mesh_resolution", "area", "degree", "lambda1", "mu1", "mu2",
+            "lhs2", "rhs2", "slack2", "lhs3", "rhs3", "slack3", "trial_sum",
+            "balance", "dirichlet_residuals", "neumann_residuals",
+            "eps_fem", "budgeted_slack2", "budgeted_slack3"}
+        assert set(doc["eps_fem"]) == {"slack2", "slack3", "upper", "lower",
+                                       "coarse_resolution"}
+        assert set(doc["balance"]) == {"a", "residual", "iterations"}
 
 
 class TestRichardsonBudget:
@@ -184,7 +194,11 @@ class TestRichardsonBudget:
         text = reports_to_csv([rep.csv_row(fixture="cap-pi3", level=0)])
         lines = text.strip().split("\n")
         assert len(lines) == 2
-        assert lines[0].startswith("fixture,level,")
+        assert lines[0] == (
+            "fixture,level,mesh_resolution,area,degree,lambda1,mu1,mu2,"
+            "lhs2,rhs2,slack2,lhs3,rhs3,slack3,trial_sum,"
+            "balance_residual,balance_iterations,"
+            "eps_slack2,eps_slack3,eps_upper,eps_lower")
         assert lines[1].startswith("cap-pi3,0,")
 
     def test_rejects_resolution_without_coarser_level(self):
