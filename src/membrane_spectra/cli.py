@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import ctypes
 import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 
 import click
 import numpy as np
@@ -61,7 +59,7 @@ def gen(shape, resolution, colatitude, inner_radius, seed, amplitude, out):
 @click.argument("mesh_file", type=click.Path(exists=True))
 @click.option("--bc", type=click.Choice(["dirichlet", "neumann"]),
               default="dirichlet")
-@click.option("--k", type=int, default=4)
+@click.option("--k", type=click.IntRange(min=1), default=4)
 @click.option("--eigenfunctions", is_flag=True)
 @click.option("--out", type=click.Path(), default="-")
 def spectrum(mesh_file, bc, k, eigenfunctions, out):
@@ -119,66 +117,15 @@ def verify_cmd(mesh_file, map_kind, degree, out, csv_path):
 
 def _append_csv(path, rows):
     text = verifymod.reports_to_csv(rows)
-    if os.path.exists(path):
-        text = text.split("\n", 1)[1]  # drop the header on append
     with open(path, "a") as fh:
+        if fh.tell():        # append mode starts at the end of the file
+            text = text.split("\n", 1)[1]  # drop the header on append
         fh.write(text)
 
 
 # perfbench/workloads.py imports both names from this module
 BATCH_FIXTURES = fixtures.BATTERY
 _batch_instance = fixtures.instance
-
-
-# thread-count functions of OpenBLAS: numpy and SciPy ship it with the
-# prefix "scipy_", the 64-bit-integer build adding the suffix "64_"
-_OPENBLAS_THREAD_FUNCTIONS = [
-    (f"{prefix}openblas_get_num_threads{suffix}",
-     f"{prefix}openblas_set_num_threads{suffix}")
-    for prefix in ("", "scipy_") for suffix in ("", "64_")]
-
-
-def _openblas_libraries():
-    """(get, set) thread-count functions of every OpenBLAS mapped into
-    this process, as /proc/self/maps lists them; a library without both
-    functions is left out.  Empty where /proc/self/maps does not exist."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({parts[5].strip() for parts in
-                            (line.split(maxsplit=5) for line in fh)
-                            if len(parts) == 6
-                            and "openblas" in os.path.basename(parts[5])})
-    except OSError:
-        return []
-    found = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_FUNCTIONS:
-            get = getattr(lib, get_name, None)
-            set_ = getattr(lib, set_name, None)
-            if get is not None and set_ is not None:
-                get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
-                found.append((get, set_))
-                break
-    return found
-
-
-@contextmanager
-def _single_threaded_blas():
-    """Cap every OpenBLAS in the process at one thread, and restore each
-    library's previous count on exit."""
-    libs = _openblas_libraries()
-    saved = [get() for get, _ in libs]
-    try:
-        for _, set_ in libs:
-            set_(1)
-        yield
-    finally:
-        for (_, set_), n in zip(libs, saved):
-            set_(n)
 
 
 def _verdict(name, resolution):
@@ -233,9 +180,8 @@ def batch(refine_levels, base_resolution, csv_path, out):
     try:
         # one BLAS thread whatever the worker count, capped before the
         # fork: each worker's OpenBLAS would otherwise spin a second thread
-        # against the other workers, and the dense eigensolver's last
-        # digits depend on the BLAS thread count
-        with _single_threaded_blas():
+        # against the other workers
+        with fem.single_threaded_blas():
             if workers > 1:
                 reports = _pool_verdicts(jobs, min(workers, len(jobs)))
             else:

@@ -13,15 +13,22 @@ Lanczos (`eigsh`) on one sparse LU factor of the shifted matrix, which is
 SPD and so factored in SuperLU's symmetric mode without pivoting, in
 minimum-degree order.  The Lanczos basis holds max(2k + 2, 8) vectors (at
 most n), ARPACK stops at `LANCZOS_TOL`, and the start vector is drawn
-from a fixed seed so that repeated solves agree to the last bit.
-Residuals are normalized by the eigenvalue, so every check is invariant
-under rescaling the metric, and every pair is still checked against
-`RESIDUAL_TOL`.
+from a fixed seed so that repeated solves agree to the last bit.  The
+dense `eigh` runs with every OpenBLAS capped at one thread
+(`single_threaded_blas`): its last digits depend on the BLAS thread count,
+and so would otherwise depend on the host's core count.  Residuals are
+normalized by the eigenvalue, so every check is invariant under rescaling
+the metric, and every pair is still checked against `RESIDUAL_TOL`.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.linalg import eigh
@@ -39,6 +46,75 @@ ZERO_MODE_REL = 1e-8         # zero-mode threshold relative to mu_reference
 
 class EigenSolveError(RuntimeError):
     """Eigenvalue solve failed or did not meet the residual tolerance."""
+
+
+# thread-count functions of OpenBLAS: numpy and SciPy ship it with the
+# prefix "scipy_", the 64-bit-integer build adding the suffix "64_"
+_OPENBLAS_THREAD_FUNCTIONS = [
+    (f"{prefix}openblas_get_num_threads{suffix}",
+     f"{prefix}openblas_set_num_threads{suffix}")
+    for prefix in ("", "scipy_") for suffix in ("", "64_")]
+
+
+@cache
+def _openblas_libraries() -> tuple:
+    """(get, set) thread-count functions of every OpenBLAS mapped into
+    this process, as /proc/self/maps lists them; a library without both
+    functions is left out.  Empty where /proc/self/maps does not exist.
+
+    Looked up once per process: numpy's and SciPy's libraries are both
+    mapped by the time this module is imported."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({parts[5].strip() for parts in
+                            (line.split(maxsplit=5) for line in fh)
+                            if len(parts) == 6
+                            and "openblas" in os.path.basename(parts[5])})
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_FUNCTIONS:
+            get = getattr(lib, get_name, None)
+            set_ = getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
+                found.append((get, set_))
+                break
+    return tuple(found)
+
+
+# the cap is process-wide, so nested and concurrent uses share one: the
+# first to enter saves each library's count, the last to leave restores it
+_cap_lock = threading.Lock()
+_cap_depth = 0
+_cap_saved: list = []
+
+
+@contextmanager
+def single_threaded_blas():
+    """Cap every OpenBLAS in the process at one thread, and restore each
+    library's previous count when the outermost cap exits."""
+    global _cap_depth, _cap_saved
+    libs = _openblas_libraries()
+    with _cap_lock:
+        if _cap_depth == 0:
+            _cap_saved = [get() for get, _ in libs]
+            for _, set_ in libs:
+                set_(1)
+        _cap_depth += 1
+    try:
+        yield
+    finally:
+        with _cap_lock:
+            _cap_depth -= 1
+            if _cap_depth == 0:
+                for (_, set_), n in zip(libs, _cap_saved):
+                    set_(n)
 
 
 @dataclass
@@ -125,7 +201,8 @@ def _solve_gevp(K, M, k: int, method: str = "auto"):
     if method == "dense":
         # the full spectrum, sliced: a subset solve is less accurate and
         # moves with the number of pairs asked for
-        vals, vecs = eigh(K.toarray(), M.toarray())
+        with single_threaded_blas():
+            vals, vecs = eigh(K.toarray(), M.toarray())
         vals, vecs = vals[:k], vecs[:, :k]
     elif method == "sparse":
         if k >= n:

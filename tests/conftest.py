@@ -2,10 +2,25 @@ import numpy as np
 import pytest
 
 import membrane_spectra as ms
+from membrane_spectra import fem
 from membrane_spectra.fixtures import gaussian_bump_log_factor
 
 J0_ZERO = 2.4048255576      # first positive zero of J0
 J1P_ZERO = 1.8411837813     # first positive zero of J1'
+
+
+@pytest.fixture()
+def blas_libs():
+    """(get, set) thread-count functions of every OpenBLAS in the process,
+    each library's count restored afterwards; skips where there is none."""
+    libs = fem._openblas_libraries()
+    if not libs:
+        pytest.skip("no OpenBLAS with a thread setter is loaded in this "
+                    "process, so there is no thread count to change")
+    before = [get() for get, _ in libs]
+    yield libs
+    for (_, set_), n in zip(libs, before):
+        set_(n)
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,13 @@
 import json
+import os
 from functools import partial
 
 import pytest
 from click.testing import CliRunner
 
 import membrane_spectra as ms
-from membrane_spectra import cli, fixtures, save_mesh, verify_with_budget
+from membrane_spectra import fem, fixtures, save_mesh, verify_with_budget
+from membrane_spectra import verify as verify_module
 from membrane_spectra.cli import main
 
 from conftest import octahedron
@@ -84,6 +86,18 @@ def test_spectrum_neumann_zero_mode_gap(tmp_path, runner):
     assert doc["zero_mode_gap"] > 0
 
 
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_spectrum_rejects_k_below_one_as_a_bad_flag(tmp_path, runner, bc, k):
+    mesh_file = tmp_path / "disc.json"
+    runner.invoke(main, ["gen", "--shape", "disc", "--resolution", "4",
+                         "--out", str(mesh_file)])
+    result = runner.invoke(main, ["spectrum", str(mesh_file), "--bc", bc,
+                                  "--k", k])
+    assert result.exit_code == 2
+    assert "--k" in result.stderr
+
+
 def test_spectrum_deterministic(tmp_path, runner):
     mesh_file = tmp_path / "disc.json"
     runner.invoke(main, ["gen", "--shape", "disc", "--resolution", "6",
@@ -113,6 +127,25 @@ def test_verify_disc_slack(tmp_path, runner):
     # continuum slack2 is ~+0.0041; coarse meshes land below it
     assert 0.0 < doc["slack2"] < 0.006
     assert csv_file.read_text().count("\n") == 2
+
+
+@pytest.mark.parametrize("existing", [None, "", "fixture,level\n"])
+def test_verify_csv_header_only_on_a_new_or_empty_file(tmp_path, runner,
+                                                       existing):
+    mesh_file = tmp_path / "disc.json"
+    runner.invoke(main, ["gen", "--shape", "disc", "--resolution", "4",
+                         "--out", str(mesh_file)])
+    csv_file = tmp_path / "rows.csv"
+    if existing is not None:
+        csv_file.write_text(existing)
+    result = runner.invoke(main, ["verify", str(mesh_file), "--map", "id",
+                                  "--out", os.devnull, "--csv", str(csv_file)])
+    assert result.exit_code == 0, result.output
+    lines = csv_file.read_text().splitlines()
+    header = ",".join(verify_module.CSV_FIELDS)
+    # a non-empty file keeps its own first line and gets no second header
+    assert lines[0] == (header if not existing else "fixture,level")
+    assert len(lines) == 2 and lines[1].startswith("disc.json,0,")
 
 
 def test_verify_branched_from_file_map(tmp_path, runner):
@@ -241,7 +274,7 @@ def test_batch_rejects_thread_count_below_one(tmp_path, runner, value):
 
 
 def _blas_threads():
-    return [get() for get, _ in cli._openblas_libraries()]
+    return [get() for get, _ in fem._openblas_libraries()]
 
 
 def _batch_files(tmp_path, runner, base, threads):
@@ -257,10 +290,19 @@ def _batch_files(tmp_path, runner, base, threads):
     return csv_file.read_bytes(), out.read_bytes()
 
 
-# at 8 rings the dense eigensolver's last digits depend on the BLAS thread
-# count, on a host with more than one core
-@pytest.mark.parametrize("base", ["6", "8"])
-def test_batch_worker_processes_match_one_process(tmp_path, runner, base):
+# 8 rings is where the dense eigensolver's last digits moved with the BLAS
+# thread count before it capped itself at one thread; with the split forced,
+# the one-process run forks a Dirichlet solve per verdict and the worker
+# processes never fork one
+@pytest.mark.parametrize("base, split", [("6", False), ("8", False),
+                                         ("6", True)],
+                         ids=["6", "8", "6-split"])
+def test_batch_worker_processes_match_one_process(tmp_path, runner,
+                                                  monkeypatch, base, split):
+    if split:
+        monkeypatch.setattr(verify_module, "SPLIT_MIN_VERTICES", 0)
+        if not verify_module._split_pays(ms.generate_disc(2)):
+            pytest.skip("the Dirichlet solve does not fork on this host")
     assert (_batch_files(tmp_path, runner, base, "2")
             == _batch_files(tmp_path, runner, base, "1"))
 
@@ -291,23 +333,13 @@ def test_batch_worker_error_matches_one_process(tmp_path, runner,
     assert not (tmp_path / "s.csv").exists()
 
 
-def test_blas_cap_is_one_thread_and_restores_each_count():
-    libs = cli._openblas_libraries()
-    if not libs:
-        pytest.skip("no OpenBLAS with a thread setter is loaded in this "
-                    "process, so there is no count to cap")
-    before = _blas_threads()
-    try:
-        for (_, set_), n in zip(libs, (2, 3)):
-            set_(n)
-        expected = _blas_threads()
-        with cli._single_threaded_blas():
-            assert _blas_threads() == [1] * len(libs)
-        assert _blas_threads() == expected
-    finally:
-        for (_, set_), n in zip(libs, before):
-            set_(n)
-    assert _blas_threads() == before
+def test_blas_cap_is_one_thread_and_restores_each_count(blas_libs):
+    for (_, set_), n in zip(blas_libs, (2, 3)):
+        set_(n)
+    expected = _blas_threads()
+    with fem.single_threaded_blas():
+        assert _blas_threads() == [1] * len(blas_libs)
+    assert _blas_threads() == expected
 
 
 def test_command_output_is_indented_json_of_the_object(tmp_path, runner):

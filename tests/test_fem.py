@@ -536,6 +536,27 @@ class TestSolverAgreement:
                                        rtol=1e-9)
 
 
+    def test_dense_results_do_not_depend_on_blas_threads(self, blas_libs):
+        # 217 vertices: both problems take the dense path
+        m, _ = fixtures.build("conformal-disc", 8)
+        results = []
+        for threads in (1, 2):
+            for _, set_ in blas_libs:
+                set_(threads)
+            results.append([ms.solve_dirichlet(m, 1), ms.solve_neumann(m, 2)])
+        for one, two in zip(*results):
+            for name in ("eigenvalues", "eigenfunctions", "residuals"):
+                assert np.array_equal(getattr(one, name), getattr(two, name))
+
+    def test_nested_blas_caps_restore_once(self, blas_libs):
+        for _, set_ in blas_libs:
+            set_(2)
+        with fem.single_threaded_blas():
+            with fem.single_threaded_blas():
+                pass
+            assert [get() for get, _ in blas_libs] == [1] * len(blas_libs)
+        assert [get() for get, _ in blas_libs] == [2] * len(blas_libs)
+
     def test_json_export(self, disc8):
         doc = ms.solve_neumann(disc8, 2).to_json_dict()
         assert doc["bc"] == "neumann"

@@ -170,6 +170,108 @@ class TestVerifyInequality:
         assert set(doc["balance"]) == {"a", "residual", "iterations"}
 
 
+class TestSplit:
+    """The Dirichlet solve in a forked process, forced on 12-ring fixtures
+    by lowering the vertex count from which it is used."""
+
+    @pytest.fixture()
+    def split(self, monkeypatch):
+        """Force the split and count the verdicts that took it."""
+        monkeypatch.setattr(verify_module, "SPLIT_MIN_VERTICES", 0)
+        if not verify_module._split_pays(ms.generate_disc(2)):
+            pytest.skip("the Dirichlet solve does not fork on this host")
+        calls = []
+        split_stages = verify_module._split_stages
+
+        def counted(*args):
+            calls.append(args)
+            return split_stages(*args)
+
+        monkeypatch.setattr(verify_module, "_split_stages", counted)
+        return calls
+
+    @pytest.fixture()
+    def fails(self, monkeypatch):
+        """Make a solver raise an EigenSolveError naming its stage."""
+        def fail(name):
+            def failing(mesh, k):
+                raise ms.EigenSolveError(
+                    f"injected {name} failure on n={mesh.vertex_count}")
+            monkeypatch.setattr(ms.fem, f"solve_{name}", failing)
+        return fail
+
+    @staticmethod
+    def _no_child_left():
+        import multiprocessing
+        import threading
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == 1
+
+    @pytest.mark.parametrize("name", ["conformal-0", "branched"])
+    def test_report_equals_one_thread_serial_run(self, split, monkeypatch,
+                                                 name):
+        m, f = fixtures.instance(name, 12)
+        monkeypatch.setattr(verify_module, "SPLIT_MIN_VERTICES",
+                            m.vertex_count + 1)
+        with ms.fem.single_threaded_blas():
+            serial = ms.verify_inequality(m, f).to_json_dict()
+        assert not split
+        monkeypatch.setattr(verify_module, "SPLIT_MIN_VERTICES",
+                            m.vertex_count)
+        assert ms.verify_inequality(m, f).to_json_dict() == serial
+        assert len(split) == 1
+        self._no_child_left()
+
+    def test_child_error_reaches_the_caller(self, split, fails):
+        fails("dirichlet")
+        with pytest.raises(ms.EigenSolveError) as info:
+            ms.verify_inequality(*fixtures.instance("conformal-0", 12))
+        assert type(info.value) is ms.EigenSolveError
+        assert str(info.value) == "injected dirichlet failure on n=469"
+        assert len(split) == 1
+        self._no_child_left()
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_dirichlet_error_comes_first(self, request, fails, forced):
+        # as in the serial order, whichever process solves it
+        if forced:
+            request.getfixturevalue("split")
+        fails("dirichlet")
+        fails("neumann")
+        with pytest.raises(ms.EigenSolveError,
+                           match="^injected dirichlet failure on n=469$"):
+            ms.verify_inequality(*fixtures.instance("conformal-0", 12))
+
+    def test_neumann_error_after_a_good_child(self, split, fails):
+        fails("neumann")
+        with pytest.raises(ms.EigenSolveError,
+                           match="^injected neumann failure on n=469$"):
+            ms.verify_inequality(*fixtures.instance("conformal-0", 12))
+        self._no_child_left()
+
+    def test_dead_child_is_a_typed_error(self, split, monkeypatch):
+        import os
+        import signal
+
+        def killed(mesh, k):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(ms.fem, "solve_dirichlet", killed)
+        with pytest.raises(ms.EigenSolveError) as info:
+            ms.verify_inequality(*fixtures.instance("conformal-0", 12))
+        message = str(info.value)
+        assert "n=469" in message and "exit status -9" in message
+        self._no_child_left()
+
+    def test_blas_thread_counts_are_restored(self, split, blas_libs):
+        for (_, set_), n in zip(blas_libs, (2, 3)):
+            set_(n)
+        expected = [get() for get, _ in blas_libs]
+        ms.verify_inequality(*fixtures.instance("branched", 12))
+        assert len(split) == 1
+        assert [get() for get, _ in blas_libs] == expected
+
+
 class TestRichardsonBudget:
     def test_budget_covers_margins(self):
         def make(res):
