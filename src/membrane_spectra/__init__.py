@@ -2,7 +2,7 @@
 transplantation bounds relating Dirichlet and Neumann eigenvalues."""
 
 from .balance import (BalanceError, BalanceResult, balance_center_of_mass,
-                      center_of_gravity, grid_search_balance)
+                      center_of_gravity)
 from .fem import (EigenSolveError, SpectralResult, assemble_mass,
                   assemble_stiffness, rayleigh_quotient, solve_dirichlet,
                   solve_neumann)
@@ -25,7 +25,7 @@ __all__ = [
     "check_eq3_implication", "compute_degree", "dirichlet_energy",
     "disc_map_from_positions", "generate_annulus",
     "generate_branched_double_disc", "generate_conformal_disc",
-    "generate_disc", "generate_spherical_cap", "grid_search_balance",
+    "generate_disc", "generate_spherical_cap",
     "lift_to_hemisphere", "load_mesh", "mobius", "rayleigh_quotient",
     "save_mesh", "solve_dirichlet", "solve_neumann",
     "transplant_coords", "trial_bound_sum", "verify_eq3",

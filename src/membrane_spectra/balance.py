@@ -118,21 +118,3 @@ def balance_center_of_mass(mesh: SurfaceMesh, f: MapSample) -> BalanceResult:
     raise BalanceError(
         f"balancing did not converge: best residual {gnorm:.3e} "
         f"(target {tol:.3e}) at a = {a}")
-
-
-def grid_search_balance(mesh: SurfaceMesh, f: MapSample) -> tuple[complex, float]:
-    """Brute-force minimizer of ||G(a)|| over the 101-by-101 grid on
-    [-0.99, 0.99]^2, cut to the disc.
-
-    Independent cross-check for the Newton solver: it evaluates the same
-    transplant (`_moments`) at every grid point and uses no Jacobian or
-    step control.  Returns the best grid point and its residual.
-    """
-    m1 = assemble_mass(mesh) @ np.ones(mesh.vertex_count)
-    ticks = np.linspace(-0.99, 0.99, 101)
-    re, im = np.meshgrid(ticks, ticks, indexing="ij")
-    aa = (re + 1j * im).ravel()
-    aa = aa[np.abs(aa) < 1.0]
-    g = [np.linalg.norm(_moments(mesh, f, a, m1)[0]) for a in aa]
-    best = int(np.argmin(g))
-    return complex(aa[best]), float(g[best])

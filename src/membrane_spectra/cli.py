@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import click
 import numpy as np
@@ -132,26 +130,6 @@ def _verdict(name, resolution):
     return verifymod.verify_inequality(*fixtures.instance(name, resolution))
 
 
-def _pool_verdicts(jobs, workers):
-    """Reports of `jobs` from `workers` forked processes, in job order.
-
-    The finest level is submitted first, so that no long job starts last.
-    Workers are forked, not spawned, because a spawned worker would first
-    import numpy and SciPy again, which takes longer than a `batch` of
-    the default sizes.
-    """
-    order = sorted(range(len(jobs)), key=lambda i: -jobs[i][1])
-    with ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = {i: pool.submit(_verdict, jobs[i][0], jobs[i][2])
-                   for i in order}
-        try:
-            return [futures[i].result() for i in range(len(jobs))]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-
-
 @main.command()
 @click.option("--refine-levels", type=int, default=2)
 @click.option("--base-resolution", type=int, default=8)
@@ -161,37 +139,25 @@ def _pool_verdicts(jobs, workers):
 def batch(refine_levels, base_resolution, csv_path, out):
     """Run the built-in fixture suite across refinement levels.
 
-    MEMBRANE_SPECTRA_THREADS > 1 runs the verdicts on that many forked
-    worker processes (POSIX only), with the same output as one process.
+    The verdicts run on one forked worker process per usable CPU
+    (`fem.forked_map`), with the same output as one process.
     """
     if refine_levels < 1:
         _fail("refine-levels must be >= 1", code=2)
-    threads = os.environ.get("MEMBRANE_SPECTRA_THREADS", "1")
-    try:
-        workers = int(threads)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        _fail("MEMBRANE_SPECTRA_THREADS must be a positive integer, "
-              f"got {threads!r}", code=2)
     jobs = [(name, level, base_resolution * 2 ** level)
             for name in fixtures.BATTERY for level in range(refine_levels)]
-
+    # the finest level first, so that no long verdict starts last
+    order = sorted(range(len(jobs)), key=lambda i: -jobs[i][1])
     try:
-        # one BLAS thread whatever the worker count, capped before the
-        # fork: each worker's OpenBLAS would otherwise spin a second thread
-        # against the other workers
-        with fem.single_threaded_blas():
-            if workers > 1:
-                reports = _pool_verdicts(jobs, min(workers, len(jobs)))
-            else:
-                reports = [_verdict(name, res) for name, _, res in jobs]
+        done = fem.forked_map([(_verdict, (jobs[i][0], jobs[i][2]))
+                               for i in order])
     except (ValueError, RuntimeError) as exc:
         _fail(str(exc))
+    reports = [report for _, report in sorted(zip(order, done))]
 
     rows = []
     docs = {}
-    # jobs run fixture by fixture with levels in order, so level l > 0
+    # jobs are listed by fixture with levels in order, so level l > 0
     # pairs with the report just before it
     for i, ((name, level, _), report) in enumerate(zip(jobs, reports)):
         if level > 0:

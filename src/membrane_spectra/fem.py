@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import ctypes
 import os
+import signal
 import threading
+from concurrent.futures import Future
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
@@ -115,6 +117,85 @@ def single_threaded_blas():
             if _cap_depth == 0:
                 for (_, set_), n in zip(libs, _cap_saved):
                     set_(n)
+
+
+_forked_calls: list = []     # forked_map's calls, inherited by its workers
+
+
+def _forked_call(i: int):
+    fn, args = _forked_calls[i]
+    return fn(*args)
+
+
+def _run_here(fn, args) -> Future:
+    """A done Future holding fn(*args) or its error."""
+    future = Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
+
+
+def forked_map(calls) -> list:
+    """`[fn(*args) for fn, args in calls]` spread over forked worker
+    processes, with the same results, errors and error order.
+
+    One worker runs per CPU in `os.sched_getaffinity`, never more than
+    there are calls; with a CPU for every call, this process runs the last
+    call itself.  The calls run here in turn when fewer than 2 workers
+    would, where `os.fork` is missing, when the caller has other Python
+    threads (a fork copies none) and inside a worker (so workers never
+    fork again).  Every call runs under `single_threaded_blas`, so the
+    results are the same bits either way.  The calls reach the workers
+    through the fork, not pickled.  A worker that dies is an
+    EigenSolveError naming its exit status and the first call that did
+    not return.
+    """
+    global _forked_calls
+    calls = list(calls)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(calls))
+    serial = (workers < 2 or not hasattr(os, "fork")
+              or threading.active_count() > 1)
+    if not serial:
+        import multiprocessing
+        serial = multiprocessing.parent_process() is not None
+    with single_threaded_blas():
+        if serial:
+            return [fn(*args) for fn, args in calls]
+        from concurrent.futures import process
+
+        here = workers == len(calls)        # this process runs the last call
+        _forked_calls = calls
+        pool = process.ProcessPoolExecutor(
+            workers - here, mp_context=multiprocessing.get_context("fork"))
+        try:
+            futures = [pool.submit(_forked_call, i)
+                       for i in range(len(calls) - here)]
+            # the submits forked every worker; kept for their exit statuses
+            processes = list(pool._processes.values())
+            futures += [_run_here(*calls[-1])] if here else []
+            results = []
+            for future, (fn, args) in zip(futures, calls):
+                try:
+                    results.append(future.result())
+                except process.BrokenProcessPool as exc:
+                    pool.shutdown()     # its thread joins every worker
+                    raise _died(fn, args, processes) from exc
+            return results
+        finally:
+            pool.shutdown(cancel_futures=True)
+            _forked_calls = []
+
+
+def _died(fn, args, processes) -> EigenSolveError:
+    # once one worker has died, the pool terminates the others
+    status = ", ".join(str(p.exitcode) for p in processes
+                       if p.exitcode != -signal.SIGTERM) or -signal.SIGTERM
+    call = f"{getattr(fn, '__name__', fn)}({', '.join(map(repr, args))})"
+    return EigenSolveError(f"{call} did not return: its forked worker "
+                           f"process died (exit status {status})")
 
 
 @dataclass
@@ -315,10 +396,8 @@ def solve_neumann(mesh: SurfaceMesh, k: int,
     vals, vecs, res = vals[1:k + 1], vecs[:, 1:k + 1], res[1:k + 1]
 
     # enforce the zero-mean side condition exactly
-    ones = np.ones(mesh.vertex_count)
-    m1 = M @ ones
-    area = m1.sum()
-    vecs = vecs - ones[:, None] * ((m1 @ vecs) / area)
+    m1 = M @ np.ones(mesh.vertex_count)
+    vecs = vecs - (m1 @ vecs) / m1.sum()
     norms = np.sqrt(np.einsum("ij,ij->j", vecs, M @ vecs))
     vecs = vecs / norms
     return SpectralResult("neumann", vals, vecs, res,

@@ -96,7 +96,7 @@ class MapSample:
             )
 
 
-def _heron_areas(lengths: np.ndarray, context: str = "triangle") -> np.ndarray:
+def _heron_areas(lengths: np.ndarray) -> np.ndarray:
     """Areas from the three side lengths (rows of `lengths`), rejecting
     any triangle that violates the strict triangle inequality."""
     a, b, c = lengths[:, 0], lengths[:, 1], lengths[:, 2]
@@ -108,7 +108,7 @@ def _heron_areas(lengths: np.ndarray, context: str = "triangle") -> np.ndarray:
     if bad.size:
         t = int(bad[0])
         raise MeshError(
-            f"{context} {t} violates the strict triangle inequality: "
+            f"triangle {t} violates the strict triangle inequality: "
             f"sides {lengths[t].tolist()}"
         )
     return 0.25 * np.sqrt(f1 * f2 * f3 * f4)
@@ -208,9 +208,17 @@ class SurfaceMesh:
     """
 
     def __init__(self, triangles, positions=None, edge_lengths=None, validate=True):
-        tri = np.ascontiguousarray(np.asarray(triangles, dtype=np.int64))
-        if tri.ndim != 2 or tri.shape[1] != 3 or tri.shape[0] < 1:
+        tri = np.asarray(triangles)
+        if (tri.ndim != 2 or tri.shape[1] != 3 or tri.shape[0] < 1
+                or tri.dtype.kind not in "iuf"):
             raise MeshError("triangles must be a non-empty (F, 3) index array")
+        if tri.dtype.kind == "f":       # an index given as a float is integral
+            exact = np.isfinite(tri) & (np.trunc(tri) == tri)
+            bad = np.flatnonzero(~exact.all(axis=1))
+            if bad.size:
+                raise MeshError(f"triangle {bad[0]} has a non-integer vertex "
+                                f"index: {tri[bad[0]].tolist()}")
+        tri = np.ascontiguousarray(tri, dtype=np.int64)
         if tri.min() < 0:
             raise MeshError("negative vertex index")
         self.triangles = tri
@@ -290,13 +298,10 @@ class SurfaceMesh:
 
         # triangle adjacency graph connected
         interior = np.flatnonzero(counts == 2)
-        if interior.size:
-            order = np.argsort(self.corner_edges.ravel(), kind="stable")
-            faces = order // 3
-            ptr = np.searchsorted(self.corner_edges.ravel()[order], interior)
-            fa, fb = faces[ptr], faces[ptr + 1]
-        else:
-            fa = fb = np.empty(0, dtype=np.int64)
+        order = np.argsort(self.corner_edges.ravel(), kind="stable")
+        faces = order // 3
+        ptr = np.searchsorted(self.corner_edges.ravel()[order], interior)
+        fa, fb = faces[ptr], faces[ptr + 1]
         nf = tri.shape[0]
         adj = coo_matrix((np.ones(fa.size), (fa, fb)), shape=(nf, nf))
         ncomp, _ = connected_components(adj, directed=False)
@@ -378,10 +383,7 @@ class SurfaceMesh:
         return float(self.triangle_areas.sum())
 
     def topology(self) -> Topology:
-        V = self.vertex_count
-        E = self.edge_count
-        F = self.triangles.shape[0]
-        chi = V - E + F
+        chi = self.vertex_count - self.edge_count + self.triangles.shape[0]
         r = len(self.boundary_loops())
         two_p = 2 - chi - r
         if two_p < 0 or two_p % 2 != 0:
@@ -401,6 +403,9 @@ class SurfaceMesh:
 
     def descriptor(self) -> str:
         return f"V{self.vertex_count}F{self.triangles.shape[0]}"
+
+    def __repr__(self) -> str:
+        return f"SurfaceMesh(n={self.vertex_count}, faces={len(self.triangles)})"
 
 
 # -- generators -------------------------------------------------------------
@@ -553,13 +558,16 @@ def mesh_to_json_dict(mesh: SurfaceMesh, map_sample: MapSample | None = None) ->
 def mesh_from_json_dict(doc: dict) -> tuple[SurfaceMesh, MapSample | None]:
     """Inverse of `mesh_to_json_dict`; `edge_lengths` rows may come in any
     order and orientation."""
+    if not isinstance(doc, dict):
+        raise MeshError("mesh JSON must be an object")
     if "triangles" not in doc:
         raise MeshError("mesh JSON lacks 'triangles'")
     has_v, has_l = "vertices" in doc, "edge_lengths" in doc
     if has_v == has_l:
         raise MeshError("mesh JSON needs exactly one of 'vertices'/'edge_lengths'")
     if has_v:
-        mesh = SurfaceMesh(doc["triangles"], positions=doc["vertices"])
+        mesh = SurfaceMesh(doc["triangles"],
+                           positions=_json_array(doc["vertices"], "vertices", 3))
     else:
         rows = _json_array(doc["edge_lengths"], "edge_lengths", 3)
         mesh = SurfaceMesh(doc["triangles"], edge_lengths=rows)

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +27,8 @@ from .transplant import compute_degree, transplant_coords
 
 FOUR_PI_3 = 4.0 * np.pi / 3.0
 SAFETY = 2.0     # Richardson budget: this many times the two-level change
-# meshes of at least this many vertices solve the Dirichlet problem in a
-# forked process while this one solves the Neumann problem (see _split_pays):
+# meshes of at least this many vertices may solve the Dirichlet problem in
+# a forked process while this one solves the Neumann problem (forked_map):
 # on a 2-vCPU host the fork lost 19% at 1,801 vertices, tied at 2,437 and
 # saved 0-8% at 3,169, 13% at 3,997 and 47% at 12,481
 SPLIT_MIN_VERTICES = 3000
@@ -119,8 +117,7 @@ def trial_bound_sum(mesh: SurfaceMesh, f: MapSample, a: complex) -> float:
     """
     K = fem.assemble_stiffness(mesh)
     M = fem.assemble_mass(mesh)
-    ones = np.ones(mesh.vertex_count)
-    m1 = M @ ones
+    m1 = M @ np.ones(mesh.vertex_count)
     area = float(m1.sum())
 
     g1, g2 = center_of_gravity(mesh, f, a)
@@ -142,10 +139,7 @@ def trial_bound_sum(mesh: SurfaceMesh, f: MapSample, a: complex) -> float:
     w1 = c * v1 + s * v2
     w2 = -s * v1 + c * v2
 
-    total = 0.0
-    for u in (sf.x3, w1, w2):
-        total += 1.0 / fem.rayleigh_quotient(u, K, M)
-    return total
+    return sum(1.0 / fem.rayleigh_quotient(u, K, M) for u in (sf.x3, w1, w2))
 
 
 def verify_eq3(report: VerificationReport) -> tuple[float, float, float]:
@@ -186,8 +180,8 @@ def verify_inequality(mesh: SurfaceMesh, f: MapSample,
     Either way the map must be proper (`MapSample.check_proper`).
 
     On a mesh of at least `SPLIT_MIN_VERTICES` vertices the Dirichlet
-    solve may run in a forked process (`_split_pays` says when), with the
-    report of a serial run under `fem.single_threaded_blas`.
+    solve and the later stages go to `fem.forked_map`, which may run the
+    Dirichlet solve in a forked process, with the same report either way.
     """
     area = mesh.total_area()
     if degree == "auto":
@@ -196,8 +190,9 @@ def verify_inequality(mesh: SurfaceMesh, f: MapSample,
         d = positive_degree(degree)
         f.check_proper(mesh)
 
-    if _split_pays(mesh):
-        dirichlet, (neumann, bal, trial) = _split_stages(mesh, f)
+    if mesh.vertex_count >= SPLIT_MIN_VERTICES:
+        dirichlet, (neumann, bal, trial) = fem.forked_map(
+            [(fem.solve_dirichlet, (mesh, 1)), (_neumann_stages, (mesh, f))])
     else:
         dirichlet = fem.solve_dirichlet(mesh, 1)
         neumann, bal, trial = _neumann_stages(mesh, f)
@@ -226,75 +221,6 @@ def _neumann_stages(mesh: SurfaceMesh, f: MapSample):
     neumann = fem.solve_neumann(mesh, 2)
     bal = balance_center_of_mass(mesh, f)
     return neumann, bal, trial_bound_sum(mesh, f, bal.a)
-
-
-def _split_pays(mesh: SurfaceMesh) -> bool:
-    """Whether to solve the Dirichlet problem in a forked process: only for
-    a mesh large enough that the fork pays, on a POSIX host with a second
-    CPU for it, from a caller with one Python thread (a fork copies no
-    other thread), and not inside a worker process (so `batch` workers
-    never fork again)."""
-    if mesh.vertex_count < SPLIT_MIN_VERTICES or not hasattr(os, "fork"):
-        return False
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    if cpus < 2 or threading.active_count() > 1:
-        return False
-    import multiprocessing
-    return multiprocessing.parent_process() is None
-
-
-_forked_mesh: SurfaceMesh | None = None     # set in the forked process only
-
-
-def _hold_mesh(mesh: SurfaceMesh) -> None:
-    global _forked_mesh
-    _forked_mesh = mesh
-
-
-def _forked_dirichlet() -> fem.SpectralResult:
-    return fem.solve_dirichlet(_forked_mesh, 1)
-
-
-def _split_stages(mesh: SurfaceMesh, f: MapSample):
-    """The Dirichlet pair from one forked process while this one runs
-    `_neumann_stages`, every OpenBLAS capped at one thread in both.
-
-    The results equal a serial run under `fem.single_threaded_blas` bit
-    for bit, and errors come in the serial order: a Dirichlet error is
-    raised before any error of the later stages.  The mesh reaches the
-    child through the fork, not through a pipe.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with fem.single_threaded_blas(), ProcessPoolExecutor(
-            1, mp_context=multiprocessing.get_context("fork"),
-            initializer=_hold_mesh, initargs=(mesh,)) as pool:
-        future = pool.submit(_forked_dirichlet)
-        # submit forked the child; kept to read its exit status if it dies
-        children = list(pool._processes.values())
-        try:
-            rest = _neumann_stages(mesh, f)
-        except Exception:
-            _forked_result(future, children, mesh)     # raised first
-            raise
-        return _forked_result(future, children, mesh), rest
-
-
-def _forked_result(future, children, mesh: SurfaceMesh) -> fem.SpectralResult:
-    """The child's result or error; a child that died is an EigenSolveError."""
-    from concurrent.futures.process import BrokenProcessPool
-
-    try:
-        return future.result()
-    except BrokenProcessPool as exc:
-        for child in children:
-            child.join()
-        status = ", ".join(str(child.exitcode) for child in children)
-        raise fem.EigenSolveError(
-            f"the Dirichlet solve on n={mesh.vertex_count} vertices died in "
-            f"its forked process (exit status {status})") from exc
 
 
 def richardson_budget(fine: VerificationReport,

@@ -1,8 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
 import membrane_spectra as ms
-from membrane_spectra import fem
+from membrane_spectra import balance, fem
 from membrane_spectra.fixtures import gaussian_bump_log_factor
 
 J0_ZERO = 2.4048255576      # first positive zero of J0
@@ -21,6 +23,29 @@ def blas_libs():
     yield libs
     for (_, set_), n in zip(libs, before):
         set_(n)
+
+
+@pytest.fixture()
+def cpus(monkeypatch):
+    """`cpus(n)` makes `fem.forked_map` see n usable CPUs and returns the
+    list of forks this process makes from then on, one entry per
+    `os.fork`; n > 1 skips where this host cannot fork."""
+    fork = getattr(os, "fork", None)
+    forks = []
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    def set_cpus(n):
+        if n > 1 and fork is None:
+            pytest.skip("this host cannot fork")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+        if fork is not None:
+            monkeypatch.setattr(os, "fork", counted)
+        return forks
+    return set_cpus
 
 
 @pytest.fixture(scope="session")
@@ -57,6 +82,25 @@ def bump_disc12():
 @pytest.fixture(scope="session")
 def branched12():
     return ms.generate_branched_double_disc(12)
+
+
+def grid_search_balance(mesh, f):
+    """Brute-force minimizer of ||G(a)|| over the 101-by-101 grid on
+    [-0.99, 0.99]^2, cut to the disc.
+
+    Independent cross-check for the Newton solver: it evaluates the same
+    transplant (`balance._moments`) at every grid point and uses no
+    Jacobian or step control.  Returns the best grid point and its
+    residual.
+    """
+    m1 = ms.assemble_mass(mesh) @ np.ones(mesh.vertex_count)
+    ticks = np.linspace(-0.99, 0.99, 101)
+    re, im = np.meshgrid(ticks, ticks, indexing="ij")
+    aa = (re + 1j * im).ravel()
+    aa = aa[np.abs(aa) < 1.0]
+    g = [np.linalg.norm(balance._moments(mesh, f, a, m1)[0]) for a in aa]
+    best = int(np.argmin(g))
+    return complex(aa[best]), float(g[best])
 
 
 def identity_map(mesh):

@@ -14,7 +14,7 @@ import pytest
 import membrane_spectra as ms
 from membrane_spectra import fixtures
 
-from conftest import J0_ZERO, J1P_ZERO
+from conftest import J0_ZERO, J1P_ZERO, grid_search_balance
 
 FOUR_PI_3 = 4 * np.pi / 3
 FINE_RINGS = 64          # 12481 vertices
@@ -188,7 +188,7 @@ def test_09_balancing(budget_reports, _criterion):
         make = _fixture_factories()[name]
         mesh, f = make(12)
         a = ms.balance_center_of_mass(mesh, f).a
-        a_grid, _ = ms.grid_search_balance(mesh, f)
+        a_grid, _ = grid_search_balance(mesh, f)
         dist = abs(a - a_grid)
         grid_ok = grid_ok and dist <= 2 * spacing
         grid_detail.append(f"{name}:{dist:.3f}")

@@ -245,8 +245,7 @@ def test_batch_budget_matches_verify_with_budget(tmp_path, runner):
     result = runner.invoke(main, ["batch", "--refine-levels", "2",
                                   "--base-resolution", "6",
                                   "--csv", str(tmp_path / "slack.csv"),
-                                  "--out", str(out)],
-                           env={"MEMBRANE_SPECTRA_THREADS": "1"})
+                                  "--out", str(out)])
     assert result.exit_code == 0, result.output
     fine = json.loads(out.read_text())["cap-pi3:1"]
     rep = verify_with_budget(partial(fixtures.instance, "cap-pi3"), 12)
@@ -254,83 +253,98 @@ def test_batch_budget_matches_verify_with_budget(tmp_path, runner):
     assert fine == rep.to_json_dict()
 
 
-def test_batch_rejects_non_integer_thread_count(tmp_path, runner):
-    result = runner.invoke(main, ["batch", "--csv", str(tmp_path / "s.csv")],
-                           env={"MEMBRANE_SPECTRA_THREADS": "two"})
-    assert result.exit_code == 2
-    error = json.loads(result.stderr)["error"]
-    assert "MEMBRANE_SPECTRA_THREADS" in error and "'two'" in error
-    assert not (tmp_path / "s.csv").exists()
-
-
-@pytest.mark.parametrize("value", ["0", "-3"])
-def test_batch_rejects_thread_count_below_one(tmp_path, runner, value):
-    result = runner.invoke(main, ["batch", "--csv", str(tmp_path / "s.csv")],
-                           env={"MEMBRANE_SPECTRA_THREADS": value})
-    assert result.exit_code == 2
-    error = json.loads(result.stderr)["error"]
-    assert "MEMBRANE_SPECTRA_THREADS" in error and f"'{value}'" in error
-    assert not (tmp_path / "s.csv").exists()
-
-
 def _blas_threads():
     return [get() for get, _ in fem._openblas_libraries()]
 
 
-def _batch_files(tmp_path, runner, base, threads):
-    csv_file = tmp_path / f"slack-{threads}.csv"
-    out = tmp_path / f"reports-{threads}.json"
-    before = _blas_threads()
+def _batch_files(tmp_path, runner, cpus, base, n):
+    """CSV and --out bytes of a batch run on n CPUs, and its fork count."""
+    csv_file = tmp_path / f"slack-{n}.csv"
+    out = tmp_path / f"reports-{n}.json"
+    forks = cpus(n)
+    before = (len(forks), _blas_threads())
     result = runner.invoke(main, ["batch", "--base-resolution", base,
                                   "--refine-levels", "2",
-                                  "--csv", str(csv_file), "--out", str(out)],
-                           env={"MEMBRANE_SPECTRA_THREADS": threads})
+                                  "--csv", str(csv_file), "--out", str(out)])
     assert result.exit_code == 0, result.output
-    assert _blas_threads() == before
-    return csv_file.read_bytes(), out.read_bytes()
+    assert _blas_threads() == before[1]
+    return csv_file.read_bytes(), out.read_bytes(), len(forks) - before[0]
 
 
 # 8 rings is where the dense eigensolver's last digits moved with the BLAS
-# thread count before it capped itself at one thread; with the split forced,
-# the one-process run forks a Dirichlet solve per verdict and the worker
-# processes never fork one
+# thread count before it capped itself at one thread; with the split
+# forced, every verdict goes through forked_map, which runs serially in
+# the worker processes and on one CPU
 @pytest.mark.parametrize("base, split", [("6", False), ("8", False),
                                          ("6", True)],
                          ids=["6", "8", "6-split"])
-def test_batch_worker_processes_match_one_process(tmp_path, runner,
+def test_batch_worker_processes_match_one_process(tmp_path, runner, cpus,
                                                   monkeypatch, base, split):
     if split:
         monkeypatch.setattr(verify_module, "SPLIT_MIN_VERTICES", 0)
-        if not verify_module._split_pays(ms.generate_disc(2)):
-            pytest.skip("the Dirichlet solve does not fork on this host")
-    assert (_batch_files(tmp_path, runner, base, "2")
-            == _batch_files(tmp_path, runner, base, "1"))
+    *serial, serial_forks = _batch_files(tmp_path, runner, cpus, base, 1)
+    *forked, forks = _batch_files(tmp_path, runner, cpus, base, 2)
+    assert (serial_forks, forks) == (0, 2)
+    assert forked == serial
 
 
-def test_batch_worker_error_matches_one_process(tmp_path, runner,
-                                                monkeypatch):
+def _failing_instance(monkeypatch, fail):
+    """Make fixtures.instance call `fail(name, resolution)` first."""
     instance = fixtures.instance
 
     def failing(name, resolution):
-        # two failures: the pool starts the finer one first, but the first
-        # in job order is the one reported, as in one process
-        if (name, resolution) in (("cap-pi6", 6), ("branched", 12)):
-            raise ms.EigenSolveError(f"injected failure on {name} "
-                                     f"at resolution {resolution}")
+        fail(name, resolution)
         return instance(name, resolution)
 
     monkeypatch.setattr(fixtures, "instance", failing)
+
+
+def test_batch_worker_error_matches_one_process(tmp_path, runner, cpus,
+                                                monkeypatch):
+    def fail(name, resolution):
+        # two failures: the finest level is called first, so the one
+        # reported at any CPU count is the one at resolution 12
+        if (name, resolution) in (("cap-pi6", 6), ("branched", 12)):
+            raise ms.EigenSolveError(f"injected failure on {name} "
+                                     f"at resolution {resolution}")
+
+    _failing_instance(monkeypatch, fail)
     errors = []
-    for threads in ("1", "2"):
+    for n in (1, 2):
+        forks = cpus(n)
         result = runner.invoke(main, ["batch", "--base-resolution", "6",
-                                      "--csv", str(tmp_path / "s.csv")],
-                               env={"MEMBRANE_SPECTRA_THREADS": threads})
+                                      "--csv", str(tmp_path / "s.csv")])
         assert result.exit_code == 1
         errors.append(result.stderr)
+    assert len(forks) == 2
     assert errors[0] == errors[1]
     assert json.loads(errors[0]) == {
-        "error": "injected failure on cap-pi6 at resolution 6"}
+        "error": "injected failure on branched at resolution 12"}
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_batch_dead_worker_is_a_typed_error(tmp_path, runner, cpus,
+                                            monkeypatch):
+    import multiprocessing
+    import signal
+
+    def fail(name, resolution):
+        # the first call in submission order, so no call before it is
+        # left running when its worker dies
+        if (name, resolution) == ("disc", 12):
+            assert multiprocessing.parent_process() is not None
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    _failing_instance(monkeypatch, fail)
+    cpus(2)
+    result = runner.invoke(main, ["batch", "--base-resolution", "6",
+                                  "--csv", str(tmp_path / "s.csv")])
+    assert result.exit_code == 1
+    assert json.loads(result.stderr) == {
+        "error": "_verdict('disc', 12) did not return: its forked worker "
+                 "process died (exit status -9)"}
+    assert not (tmp_path / "s.csv").exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_blas_cap_is_one_thread_and_restores_each_count(blas_libs):
@@ -377,3 +391,16 @@ def test_verify_non_finite_token_fails_cleanly(tmp_path, runner, value, token):
     result = runner.invoke(main, ["verify", str(mesh_file)])
     assert result.exit_code == 1
     assert "error" in json.loads(result.stderr)
+
+
+@pytest.mark.parametrize("doc", [5, {"triangles": [[0, 1, 2]],
+                                     "vertices": {"a": 1}}],
+                         ids=["top-level-number", "vertices-object"])
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+def test_malformed_mesh_file_is_a_json_error(tmp_path, runner, doc, command):
+    mesh_file = tmp_path / "bad.json"
+    mesh_file.write_text(json.dumps(doc))
+    result = runner.invoke(main, [command, str(mesh_file)])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "mesh JSON" in json.loads(result.stderr)["error"]

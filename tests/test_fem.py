@@ -1,3 +1,9 @@
+import os
+import re
+import signal
+import threading
+import time
+
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
@@ -562,3 +568,83 @@ class TestSolverAgreement:
         assert doc["bc"] == "neumann"
         assert len(doc["eigenvalues"]) == 2
         assert "zero_mode_gap" in doc
+
+
+def _fail(message):
+    raise ValueError(message)
+
+
+def _die():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _blas_threads():
+    return [get() for get, _ in fem._openblas_libraries()]
+
+
+class TestForkedMap:
+    """`fem.forked_map` against the list comprehension it stands for."""
+
+    def test_results_in_call_order(self, cpus):
+        calls = [(pow, (2, i)) for i in range(5)]
+        for n in (1, 3):
+            forks = cpus(n)
+            assert fem.forked_map(calls) == [2 ** i for i in range(5)]
+        assert len(forks) == 3          # three workers, this process idle
+
+    def test_this_process_runs_the_last_call(self, cpus):
+        forks = cpus(2)
+        first, last = fem.forked_map([(os.getpid, ()), (os.getpid, ())])
+        assert len(forks) == 1 and first != last == os.getpid()
+
+    def test_serial_on_one_cpu_or_beside_another_thread(self, cpus):
+        forks = cpus(1)
+        assert fem.forked_map([(os.getpid, ())] * 2) == [os.getpid()] * 2
+        cpus(2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert fem.forked_map([(os.getpid, ())] * 2) == [os.getpid()] * 2
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive() and not forks
+
+    def test_a_worker_never_forks_again(self, cpus):
+        forks = cpus(3)
+        nested = (fem.forked_map, ([(os.getpid, ())] * 2,))
+        inner = fem.forked_map([nested] * 2)
+        assert len(forks) == 1
+        assert [len(set(pids)) for pids in inner] == [1, 1]
+        assert inner[0][0] != inner[1][0] == os.getpid()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_first_error_in_call_order(self, cpus, n):
+        cpus(n)
+        with pytest.raises(ValueError, match="^first$"):
+            fem.forked_map([(_fail, ("first",)), (_fail, ("last",))])
+        with pytest.raises(ValueError, match="^last$"):
+            fem.forked_map([(int, ()), (_fail, ("last",))])
+
+    # in the second case every call runs in a worker: once one has died
+    # the pool terminates the other, and that SIGTERM is not reported
+    @pytest.mark.parametrize("calls", [[(_die, ()), (int, ())],
+                                       [(_die, ()), (time.sleep, (0.5,)),
+                                        (int, ())]])
+    def test_dead_worker_is_a_typed_error(self, cpus, calls):
+        cpus(2)
+        with pytest.raises(EigenSolveError, match=re.escape(
+                "_die() did not return: its forked worker process died "
+                "(exit status -9)")):
+            fem.forked_map(calls)
+
+    def test_every_call_runs_on_one_blas_thread(self, cpus, blas_libs):
+        for (_, set_), n in zip(blas_libs, (2, 3)):
+            set_(n)
+        before = _blas_threads()
+        for n in (1, 2):
+            cpus(n)
+            assert (fem.forked_map([(_blas_threads, ())] * 2)
+                    == [[1] * len(blas_libs)] * 2)
+        assert _blas_threads() == before

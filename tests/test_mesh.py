@@ -380,6 +380,22 @@ class TestValidation:
         with pytest.raises(MeshError, match="expected 3 edge lengths"):
             ms.SurfaceMesh([[0, 1, 2]], edge_lengths=[1.0, 1.0])
 
+    @pytest.mark.parametrize("triangles, row", [
+        ([[0, 1, 2.7]], "triangle 0 has a non-integer vertex index: "
+                        r"\[0.0, 1.0, 2.7\]"),
+        ([[0, 1, 2], [0, 2, float("nan")]], "triangle 1 "),
+        ([[0, 1, 2], [0, 2, float("inf")]], "triangle 1 ")])
+    def test_non_integer_triangle_index_rejected(self, triangles, row):
+        pos = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
+        with pytest.raises(MeshError, match=row):
+            ms.SurfaceMesh(triangles, positions=pos)
+
+    def test_integral_float_triangle_index_accepted(self):
+        pos = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+        m = ms.SurfaceMesh([[0.0, 1.0, 2.0]], positions=pos)
+        assert m.triangles.dtype == np.int64
+        assert m.triangles.tolist() == [[0, 1, 2]]
+
     def test_length_rows_accept_either_orientation(self):
         m = ms.SurfaceMesh([[0, 1, 2]],
                            edge_lengths=[[1, 0, 3.0], [0, 2, 4.0], [2, 1, 5.0]])
@@ -454,11 +470,32 @@ class TestJsonInterchange:
                                           ("edge_lengths", [[0, 1]]),
                                           ("edge_lengths", [[0, 1.5, 1.0]]),
                                           ("degree", 2.9), ("degree", True),
-                                          ("degree", "2"), ("degree", 0)])
+                                          ("degree", "2"), ("degree", 0),
+                                          ("triangles", [[0, 1, 2.9]]),
+                                          ("triangles", {"a": 1})])
     def test_malformed_rows_rejected(self, branched12, key, bad):
         doc = ms.mesh.mesh_to_json_dict(*branched12)
         doc[key] = bad
         with pytest.raises(MeshError):
+            ms.mesh.mesh_from_json_dict(doc)
+
+    def test_non_integer_triangle_index_in_a_file(self):
+        doc = {"triangles": [[0, 1, 2.9], [0, 2, 3]],
+               "vertices": [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]}
+        with pytest.raises(MeshError, match="triangle 0 has a non-integer"):
+            ms.mesh.mesh_from_json_dict(doc)
+
+    @pytest.mark.parametrize("doc", [5, [1, 2], "mesh", None])
+    def test_document_must_be_an_object(self, doc):
+        with pytest.raises(MeshError, match="mesh JSON must be an object"):
+            ms.mesh.mesh_from_json_dict(doc)
+
+    @pytest.mark.parametrize("vertices", [{"a": 1}, 5, [[0, 0, "x"]],
+                                          [[0, 0], [1, 0], [0, 1]]])
+    def test_vertices_must_be_rows_of_three_numbers(self, vertices):
+        doc = {"triangles": [[0, 1, 2]], "vertices": vertices}
+        with pytest.raises(MeshError, match="'vertices' must be a list of "
+                                            "rows of 3 numbers"):
             ms.mesh.mesh_from_json_dict(doc)
 
     def test_indented_file_loads_the_same(self, tmp_path, bump_disc12):
@@ -596,15 +633,17 @@ class TestCodec:
         assert gc.isenabled()
 
     def test_package_import_does_not_load_the_codec(self):
-        # the codec library is imported on first use, not with the package
+        # the codec library is imported on first use, not with the package,
+        # and multiprocessing only by a call that may fork
         code = ("import sys, membrane_spectra as ms; "
                 "ms.solve_neumann(ms.generate_disc(4), 2); "
-                "print('orjson' in sys.modules)")
+                "print('orjson' in sys.modules, "
+                "'multiprocessing' in sys.modules)")
         src = os.path.dirname(os.path.dirname(ms.__file__))
         proc = subprocess.run([sys.executable, "-c", code], check=True,
                               capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=src))
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "False False"
 
 
 def test_square_fixture_valid():

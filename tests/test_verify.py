@@ -172,23 +172,14 @@ class TestVerifyInequality:
 
 class TestSplit:
     """The Dirichlet solve in a forked process, forced on 12-ring fixtures
-    by lowering the vertex count from which it is used."""
+    by lowering the vertex count from which `fem.forked_map` is used."""
 
     @pytest.fixture()
-    def split(self, monkeypatch):
-        """Force the split and count the verdicts that took it."""
+    def split(self, monkeypatch, cpus):
+        """Route every verdict through forked_map on two CPUs; returns the
+        forks made."""
         monkeypatch.setattr(verify_module, "SPLIT_MIN_VERTICES", 0)
-        if not verify_module._split_pays(ms.generate_disc(2)):
-            pytest.skip("the Dirichlet solve does not fork on this host")
-        calls = []
-        split_stages = verify_module._split_stages
-
-        def counted(*args):
-            calls.append(args)
-            return split_stages(*args)
-
-        monkeypatch.setattr(verify_module, "_split_stages", counted)
-        return calls
+        return cpus(2)
 
     @pytest.fixture()
     def fails(self, monkeypatch):
@@ -208,18 +199,16 @@ class TestSplit:
         assert threading.active_count() == 1
 
     @pytest.mark.parametrize("name", ["conformal-0", "branched"])
-    def test_report_equals_one_thread_serial_run(self, split, monkeypatch,
+    def test_report_equals_one_thread_serial_run(self, monkeypatch, cpus,
                                                  name):
+        monkeypatch.setattr(verify_module, "SPLIT_MIN_VERTICES", 0)
         m, f = fixtures.instance(name, 12)
-        monkeypatch.setattr(verify_module, "SPLIT_MIN_VERTICES",
-                            m.vertex_count + 1)
-        with ms.fem.single_threaded_blas():
-            serial = ms.verify_inequality(m, f).to_json_dict()
-        assert not split
-        monkeypatch.setattr(verify_module, "SPLIT_MIN_VERTICES",
-                            m.vertex_count)
+        forks = cpus(1)
+        serial = ms.verify_inequality(m, f).to_json_dict()
+        assert not forks
+        cpus(2)
         assert ms.verify_inequality(m, f).to_json_dict() == serial
-        assert len(split) == 1
+        assert len(forks) == 1
         self._no_child_left()
 
     def test_child_error_reaches_the_caller(self, split, fails):
