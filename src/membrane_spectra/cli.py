@@ -49,7 +49,7 @@ def gen(shape, resolution, colatitude, inner_radius, seed, amplitude, out):
                               inner_radius=inner_radius, seed=seed,
                               amplitude=amplitude)
         meshmod.save_mesh(out, m, f)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         _fail(str(exc))
 
 
@@ -67,7 +67,7 @@ def spectrum(mesh_file, bc, k, eigenfunctions, out):
         solve = fem.solve_dirichlet if bc == "dirichlet" else fem.solve_neumann
         result = solve(m, k)
         _dump(out, result.to_json_dict(include_eigenfunctions=eigenfunctions))
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         _fail(str(exc))
 
 
@@ -109,7 +109,7 @@ def verify_cmd(mesh_file, map_kind, degree, out, csv_path):
         if csv_path:
             row = report.csv_row(fixture=os.path.basename(mesh_file))
             _append_csv(csv_path, [row])
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         _fail(str(exc))
 
 
@@ -127,7 +127,9 @@ _batch_instance = fixtures.instance
 
 
 def _verdict(name, resolution):
-    return verifymod.verify_inequality(*fixtures.instance(name, resolution))
+    # the fixture's exact degree: a coarse mesh's estimate may not round to it
+    m, f = fixtures.instance(name, resolution)
+    return verifymod.verify_inequality(m, f, degree=f.degree)
 
 
 @main.command()
@@ -151,23 +153,22 @@ def batch(refine_levels, base_resolution, csv_path, out):
     try:
         done = fem.forked_map([(_verdict, (jobs[i][0], jobs[i][2]))
                                for i in order])
-    except (ValueError, RuntimeError) as exc:
+        reports = [report for _, report in sorted(zip(order, done))]
+        rows, docs = [], {}
+        # jobs are listed by fixture with levels in order, so level l > 0
+        # pairs with the report just before it
+        for i, ((name, level, _), report) in enumerate(zip(jobs, reports)):
+            if level > 0:
+                report.eps_fem = verifymod.richardson_budget(report,
+                                                             reports[i - 1])
+            rows.append(report.csv_row(fixture=name, level=level))
+            docs[f"{name}:{level}"] = report.to_json_dict()
+        with open(csv_path, "w") as fh:
+            fh.write(verifymod.reports_to_csv(rows))
+        if out:
+            _dump(out, docs)
+    except (ValueError, RuntimeError, OSError) as exc:
         _fail(str(exc))
-    reports = [report for _, report in sorted(zip(order, done))]
-
-    rows = []
-    docs = {}
-    # jobs are listed by fixture with levels in order, so level l > 0
-    # pairs with the report just before it
-    for i, ((name, level, _), report) in enumerate(zip(jobs, reports)):
-        if level > 0:
-            report.eps_fem = verifymod.richardson_budget(report, reports[i - 1])
-        rows.append(report.csv_row(fixture=name, level=level))
-        docs[f"{name}:{level}"] = report.to_json_dict()
-    with open(csv_path, "w") as fh:
-        fh.write(verifymod.reports_to_csv(rows))
-    if out:
-        _dump(out, docs)
 
 
 if __name__ == "__main__":

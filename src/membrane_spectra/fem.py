@@ -3,7 +3,7 @@
 Stiffness weights are cotangents recovered from edge lengths alone via
 the law of cosines, so the assembly works for metrics without an
 embedding.  Both matrices are filled, from per-edge and per-vertex sums,
-into the symmetric CSR pattern the mesh builds once and shares (the
+into the symmetric CSR pattern the mesh's triangulation builds once (the
 diagonal plus both orientations of every edge), so no assembly sorts.
 Dirichlet problems are solved on the interior vertices; Neumann problems
 on the full matrices with the zero mode detected and excluded.  Problems
@@ -34,7 +34,7 @@ from functools import cache
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from .mesh import SurfaceMesh
@@ -271,7 +271,7 @@ def _spectral_scale(K, M) -> float:
 
 
 def _solve_gevp(K, M, k: int, method: str = "auto"):
-    """k smallest eigenpairs of K u = lam M u (both sparse, M > 0)."""
+    """k smallest eigenpairs of K u = lam M u (M > 0, one symmetric pattern)."""
     n = K.shape[0]
     if k < 1 or k > n:
         raise EigenSolveError(f"requested {k} eigenpairs from {n} dofs")
@@ -294,8 +294,11 @@ def _solve_gevp(K, M, k: int, method: str = "auto"):
         try:
             # one factorization of K - sigma M, which is SPD for sigma < 0,
             # so it needs no pivoting: symmetric mode keeps the diagonal as
-            # pivots on a minimum-degree ordering of its (symmetric) pattern
-            lu = splu((K - sigma * M).tocsc(), permc_spec="MMD_AT_PLUS_A",
+            # pivots on a minimum-degree ordering of its (symmetric) pattern.
+            # The matrix is symmetric, so its CSR arrays are its CSC arrays.
+            A = csc_matrix((K.data - sigma * M.data, K.indices, K.indptr),
+                           shape=(n, n))
+            lu = splu(A, permc_spec="MMD_AT_PLUS_A",
                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
             # mode 3 applies only OPinv and M, so K is passed for its shape;
             # the seeded start vector makes repeated solves bit-identical
@@ -352,10 +355,10 @@ def solve_dirichlet(mesh: SurfaceMesh, k: int,
     if interior.size < k:
         raise EigenSolveError(
             f"only {interior.size} interior dofs, cannot compute {k} eigenpairs")
-    K = assemble_stiffness(mesh)
-    M = assemble_mass(mesh)
-    Ki = K[np.ix_(interior, interior)].tocsr()
-    Mi = M[np.ix_(interior, interior)].tocsr()
+    sub = mesh.interior_pattern()
+    Ki, Mi = (csr_matrix((A.data[sub.gather], sub.indices, sub.indptr),
+                         shape=(interior.size, interior.size))
+              for A in (assemble_stiffness(mesh), assemble_mass(mesh)))
     vals, vecs, res = _solve_gevp(Ki, Mi, k, method)
     full = np.zeros((mesh.vertex_count, k))
     full[interior] = vecs

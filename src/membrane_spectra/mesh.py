@@ -13,6 +13,7 @@ from construction to the JSON file and back works on arrays.
 
 from __future__ import annotations
 
+import functools
 import gc
 import operator
 import sys
@@ -127,6 +128,12 @@ def _edge_structure(tri: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return edges, corner_edges.reshape(-1, 3)
 
 
+def _read_only(*arrays) -> tuple:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 class CsrPattern(NamedTuple):
     """Symmetric CSR pattern of a mesh: the diagonal plus both orientations
     of every edge, in canonical order (sorted, unique columns per row).
@@ -154,11 +161,8 @@ def _csr_pattern(edges: np.ndarray, n: int) -> CsrPattern:
     indptr = np.zeros(n + 1, dtype=index)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     e = edges.shape[0]
-    pattern = CsrPattern(indptr, cols[order].astype(index), slot[:n],
-                         slot[n:n + e], slot[n + e:])
-    for arr in pattern:
-        arr.flags.writeable = False
-    return pattern
+    return CsrPattern(*_read_only(indptr, cols[order].astype(index), slot[:n],
+                                  slot[n:n + e], slot[n + e:]))
 
 
 def _match_lengths(edges: np.ndarray, n: int, pairs: np.ndarray,
@@ -188,26 +192,27 @@ def _match_lengths(edges: np.ndarray, n: int, pairs: np.ndarray,
     return values[at]
 
 
-class SurfaceMesh:
-    """Oriented triangle mesh with an intrinsic metric.
+class InteriorPattern(NamedTuple):
+    """CSR pattern of the interior-vertex block of a `CsrPattern`; entry i
+    sits at `gather[i]` in the full pattern's data array."""
 
-    Parameters
-    ----------
-    triangles : array_like, shape (F, 3)
-        Vertex-index triples with globally consistent orientation.
-    positions : array_like, shape (V, 3), optional
-        Embedded vertex coordinates.  When given and `edge_lengths` is
-        not, edge lengths are derived from them.
-    edge_lengths : array_like, optional
-        Positive lengths as an (E,) array aligned to `edges`; or
-        (R, 3) rows [i, j, length] in any order and orientation, matched
-        to `edges` once.  Takes precedence over `positions` as the
-        metric; one of the two is required.
-    validate : bool
-        Skip invariant checks when False (test fixtures only).
+    indptr: np.ndarray
+    indices: np.ndarray
+    gather: np.ndarray
+
+
+class Triangulation:
+    """The topology of a mesh: read-only (F, 3) vertex-index triples with
+    globally consistent orientation on `vertex_count` vertices (by default
+    one more than the largest index), their edges and the edge opposite
+    each corner, checked once, here, unless `validate` is False (test
+    fixtures only).  The boundary, the interior and the CSR patterns are
+    built on first use and kept; a race between threads builds one twice,
+    which is harmless.  Meshes with different metrics on the same
+    triangles share one triangulation.
     """
 
-    def __init__(self, triangles, positions=None, edge_lengths=None, validate=True):
+    def __init__(self, triangles, vertex_count=None, validate=True):
         tri = np.asarray(triangles)
         if (tri.ndim != 2 or tri.shape[1] != 3 or tri.shape[0] < 1
                 or tri.dtype.kind not in "iuf"):
@@ -221,60 +226,19 @@ class SurfaceMesh:
         tri = np.ascontiguousarray(tri, dtype=np.int64)
         if tri.min() < 0:
             raise MeshError("negative vertex index")
-        self.triangles = tri
-
-        if positions is not None:
-            pos = np.ascontiguousarray(np.asarray(positions, dtype=float))
-            if pos.ndim != 2 or pos.shape[1] != 3:
-                raise MeshError("positions must have shape (V, 3)")
-            self.positions = pos
-            self.vertex_count = pos.shape[0]
-        else:
-            self.positions = None
-            self.vertex_count = int(tri.max()) + 1
-        if tri.max() >= self.vertex_count:
+        n = int(tri.max()) + 1 if vertex_count is None else vertex_count
+        if tri.max() >= n:
             raise MeshError("triangle index exceeds vertex count")
-        if self.vertex_count < 3:
+        if n < 3:
             raise MeshError("a surface mesh needs at least 3 vertices")
-
+        self.triangles, self.vertex_count = tri, n
         # corner_edges[f, c] is the edge opposite corner c of triangle f
-        self.edges, self.corner_edges = _edge_structure(tri, self.vertex_count)
+        self.edges, self.corner_edges = _edge_structure(tri, n)
         self.edge_count = self.edges.shape[0]
-
-        if edge_lengths is not None:
-            lens = np.array(edge_lengths, dtype=float)
-            if lens.ndim == 2 and lens.shape[1] == 3:
-                pairs = lens[:, :2].astype(np.int64)
-                if not np.array_equal(pairs, lens[:, :2]):
-                    raise MeshError("edge length rows must start with two "
-                                    "integer vertex indices")
-                lens = _match_lengths(self.edges, self.vertex_count, pairs,
-                                      lens[:, 2])
-            elif lens.shape != (self.edge_count,):
-                raise MeshError(f"expected {self.edge_count} edge lengths "
-                                f"aligned to edges, got shape {lens.shape}")
-        elif self.positions is not None:
-            d = self.positions[self.edges[:, 0]] - self.positions[self.edges[:, 1]]
-            lens = np.linalg.norm(d, axis=1)
-        else:
-            raise MeshError("one of positions / edge_lengths is required")
-        if not np.all(np.isfinite(lens)) or np.any(lens <= 0):
-            raise MeshError("edge lengths must be positive finite reals")
-        self.lengths = lens
-
-        self._boundary_data = None
-        self._csr = None
+        self._boundary_data = self._csr = self._interior_csr = None
         if validate:
             self._validate()
-        # areas double as the triangle-inequality check
-        self.triangle_areas = _heron_areas(self.tri_lengths())
-        for arr in (self.triangles, self.edges, self.corner_edges, self.lengths,
-                    self.triangle_areas):
-            arr.flags.writeable = False
-        if self.positions is not None:
-            self.positions.flags.writeable = False
-
-    # -- structure ---------------------------------------------------------
+        _read_only(self.triangles, self.edges, self.corner_edges)
 
     def _validate(self):
         tri = self.triangles
@@ -315,18 +279,30 @@ class SurfaceMesh:
             self._csr = _csr_pattern(self.edges, self.vertex_count)
         return self._csr
 
-    def tri_lengths(self) -> np.ndarray:
-        """(F, 3) side lengths; column c is the edge opposite corner c."""
-        return self.lengths[self.corner_edges]
+    def interior_pattern(self) -> InteriorPattern:
+        """The read-only `InteriorPattern` of `csr_pattern()`, which the
+        Dirichlet matrices share, built on first use."""
+        if self._interior_csr is None:
+            full = self.csr_pattern()
+            inside = ~self.boundary_vertex_mask()
+            rows = np.repeat(np.arange(self.vertex_count), np.diff(full.indptr))
+            gather = np.flatnonzero(inside[rows] & inside[full.indices])
+            local = np.cumsum(inside) - 1       # index among interior vertices
+            indptr = np.searchsorted(local[rows[gather]], np.arange(local[-1] + 2))
+            self._interior_csr = InteriorPattern(*_read_only(
+                indptr.astype(full.indptr.dtype),
+                local[full.indices[gather]].astype(full.indices.dtype), gather))
+        return self._interior_csr
 
     def _boundary(self):
+        # boundary edge mask, boundary vertex mask, interior vertex indices
         if self._boundary_data is None:
             counts = np.bincount(self.corner_edges.ravel(),
                                  minlength=self.edge_count)
             bedge = counts == 1
             mask = np.zeros(self.vertex_count, dtype=bool)
             mask[self.edges[bedge].ravel()] = True
-            self._boundary_data = (bedge, mask)
+            self._boundary_data = _read_only(bedge, mask, np.flatnonzero(~mask))
         return self._boundary_data
 
     def boundary_vertex_mask(self) -> np.ndarray:
@@ -344,7 +320,7 @@ class SurfaceMesh:
         return mask
 
     def interior_vertex_indices(self) -> np.ndarray:
-        return np.flatnonzero(~self.boundary_vertex_mask())
+        return self._boundary()[2]
 
     def boundary_loops(self) -> list[list[int]]:
         """Boundary components as oriented vertex cycles.
@@ -352,7 +328,7 @@ class SurfaceMesh:
         The cycles follow the direction induced by the triangle
         orientation (surface on the left).  Raises on closed meshes.
         """
-        bedge_mask, _ = self._boundary()
+        bedge_mask = self._boundary()[0]
         if not bedge_mask.any():
             raise MeshError("mesh is closed: no boundary contours")
         # the directed boundary edges, as their triangles orient them, in
@@ -378,10 +354,6 @@ class SurfaceMesh:
             loops.append(loop)
         return loops
 
-    def total_area(self) -> float:
-        """Surface area: sum of Heron-formula triangle areas."""
-        return float(self.triangle_areas.sum())
-
     def topology(self) -> Topology:
         chi = self.vertex_count - self.edge_count + self.triangles.shape[0]
         r = len(self.boundary_loops())
@@ -393,13 +365,88 @@ class SurfaceMesh:
             )
         return Topology(genus_p=two_p // 2, contours_r=r, euler_characteristic=chi)
 
+
+class SurfaceMesh:
+    """Oriented triangle mesh with an intrinsic metric: a `Triangulation`,
+    which other meshes may share, and this mesh's edge lengths.  The
+    triangulation's attributes and methods (`triangles`, `edges`,
+    `boundary_loops()`, `csr_pattern()`, ...) are the mesh's own.
+
+    Parameters
+    ----------
+    triangles : array_like, shape (F, 3), or Triangulation
+        Vertex-index triples with globally consistent orientation, or a
+        triangulation built before, whose checks are not run again.
+    positions : array_like, shape (V, 3), optional
+        Embedded vertex coordinates.  When given and `edge_lengths` is
+        not, edge lengths are derived from them.
+    edge_lengths : array_like, optional
+        Positive lengths as an (E,) array aligned to `edges`; or
+        (R, 3) rows [i, j, length] in any order and orientation, matched
+        to `edges` once.  Takes precedence over `positions` as the
+        metric; one of the two is required.
+    validate : bool
+        Skip invariant checks when False (test fixtures only).
+    """
+
+    def __init__(self, triangles, positions=None, edge_lengths=None, validate=True):
+        pos = None if positions is None else np.ascontiguousarray(
+            np.asarray(positions, dtype=float))
+        if pos is not None and (pos.ndim != 2 or pos.shape[1] != 3):
+            raise MeshError("positions must have shape (V, 3)")
+        t = triangles
+        if not isinstance(t, Triangulation):
+            t = Triangulation(t, None if pos is None else len(pos), validate)
+        elif pos is not None and len(pos) != t.vertex_count:
+            raise MeshError(f"positions must have {t.vertex_count} rows")
+        self.triangulation, self.positions = t, pos
+
+        if edge_lengths is not None:
+            lens = np.array(edge_lengths, dtype=float)
+            if lens.ndim == 2 and lens.shape[1] == 3:
+                pairs = lens[:, :2].astype(np.int64)
+                if not np.array_equal(pairs, lens[:, :2]):
+                    raise MeshError("edge length rows must start with two "
+                                    "integer vertex indices")
+                lens = _match_lengths(self.edges, self.vertex_count, pairs,
+                                      lens[:, 2])
+            elif lens.shape != (self.edge_count,):
+                raise MeshError(f"expected {self.edge_count} edge lengths "
+                                f"aligned to edges, got shape {lens.shape}")
+        elif self.positions is not None:
+            d = self.positions[self.edges[:, 0]] - self.positions[self.edges[:, 1]]
+            lens = np.linalg.norm(d, axis=1)
+        else:
+            raise MeshError("one of positions / edge_lengths is required")
+        if not np.all(np.isfinite(lens)) or np.any(lens <= 0):
+            raise MeshError("edge lengths must be positive finite reals")
+        self.lengths = lens
+        # areas double as the triangle-inequality check
+        self.triangle_areas = _heron_areas(self.tri_lengths())
+        _read_only(self.lengths, self.triangle_areas,
+                   *(() if pos is None else (pos,)))
+
+    def __getattr__(self, name):
+        # reached only for names the mesh lacks, which are the topology's
+        if name == "triangulation":     # unset while copying or unpickling
+            raise AttributeError(name)
+        return getattr(self.triangulation, name)
+
+    def tri_lengths(self) -> np.ndarray:
+        """(F, 3) side lengths; column c is the edge opposite corner c."""
+        return self.lengths[self.corner_edges]
+
+    def total_area(self) -> float:
+        """Surface area: sum of Heron-formula triangle areas."""
+        return float(self.triangle_areas.sum())
+
     def scaled(self, c: float) -> "SurfaceMesh":
         """Copy with every edge length multiplied by c > 0."""
         if c <= 0:
             raise ValueError("scale factor must be positive")
         pos = self.positions * c if self.positions is not None else None
-        return SurfaceMesh(self.triangles, positions=pos,
-                           edge_lengths=self.lengths * c, validate=False)
+        return SurfaceMesh(self.triangulation, positions=pos,
+                           edge_lengths=self.lengths * c)
 
     def descriptor(self) -> str:
         return f"V{self.vertex_count}F{self.triangles.shape[0]}"
@@ -410,13 +457,16 @@ class SurfaceMesh:
 
 # -- generators -------------------------------------------------------------
 
-def _disc_structure(rings: int):
+# the disc, cap, conformal and branched meshes of one resolution share one
+# triangulation; 4 resolutions stay, as the battery and `batch` use 2 or 3
+@functools.lru_cache(maxsize=4)
+def _disc_structure(rings: int) -> tuple[np.ndarray, Triangulation]:
     """Concentric-ring triangulation of the unit disc.
 
     Ring k (1 <= k <= rings) sits at radius k/rings and carries 6k
     vertices; adjacent rings are stitched by an angular zipper.  Returns
-    vertex coordinates as complex numbers plus the triangle array, all
-    triangles counterclockwise.
+    the read-only vertex coordinates as complex numbers and the
+    `Triangulation`, all triangles counterclockwise.
     """
     z = [np.zeros(1, dtype=complex)]
     for k in range(1, rings + 1):
@@ -442,16 +492,17 @@ def _disc_structure(rings: int):
         tris.append(np.column_stack([
             si + i % n_in, so + j % n_out,
             np.where(outer, so + (j + 1) % n_out, si + (i + 1) % n_in)]))
-    return z, np.concatenate(tris).astype(np.int64, copy=False)
+    z.flags.writeable = False
+    return z, Triangulation(np.concatenate(tris).astype(np.int64, copy=False))
 
 
 def generate_disc(rings: int) -> SurfaceMesh:
     """Flat triangulation of the closed unit disc."""
     if rings < 1:
         raise ValueError(f"rings must be >= 1, got {rings}")
-    z, tris = _disc_structure(rings)
+    z, tri = _disc_structure(rings)
     pos = np.column_stack([z.real, z.imag, np.zeros(z.size)])
-    return SurfaceMesh(tris, positions=pos)
+    return SurfaceMesh(tri, positions=pos)
 
 
 def generate_spherical_cap(colatitude: float, resolution: int) -> SurfaceMesh:
@@ -463,13 +514,13 @@ def generate_spherical_cap(colatitude: float, resolution: int) -> SurfaceMesh:
         raise ValueError(f"colatitude must lie in (0, pi), got {colatitude}")
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
-    z, tris = _disc_structure(resolution)
+    z, tri = _disc_structure(resolution)
     theta = np.abs(z) * colatitude
     phi = np.angle(z)
     pos = np.column_stack([np.sin(theta) * np.cos(phi),
                            np.sin(theta) * np.sin(phi),
                            np.cos(theta)])
-    return SurfaceMesh(tris, positions=pos)
+    return SurfaceMesh(tri, positions=pos)
 
 
 def generate_annulus(inner_radius: float, resolution: int) -> SurfaceMesh:
@@ -508,11 +559,11 @@ def generate_branched_double_disc(rings: int) -> tuple[SurfaceMesh, MapSample]:
     """
     if rings < 2:
         raise ValueError(f"rings must be >= 2, got {rings}")
-    z, tris = _disc_structure(rings)
+    z, tri = _disc_structure(rings)
     w = z * z
-    i, j = _edge_structure(tris, z.size)[0].T
+    i, j = tri.edges.T
     d = w[i] - w[j]
-    mesh = SurfaceMesh(tris, edge_lengths=np.hypot(d.real, d.imag))
+    mesh = SurfaceMesh(tri, edge_lengths=np.hypot(d.real, d.imag))
     return mesh, MapSample(w, 2)
 
 
@@ -525,16 +576,16 @@ def generate_conformal_disc(rings: int, log_factor) -> tuple[SurfaceMesh, MapSam
     """
     if rings < 1:
         raise ValueError(f"rings must be >= 1, got {rings}")
-    z, tris = _disc_structure(rings)
+    z, tri = _disc_structure(rings)
     phi = np.asarray(log_factor(z), dtype=float)
     if phi.shape != z.shape:
         raise ValueError(f"expected {z.size} log-factor samples, got {phi.shape}")
     if not np.all(np.isfinite(phi)):
         raise ValueError("log-factor samples must be finite")
-    i, j = _edge_structure(tris, z.size)[0].T
+    i, j = tri.edges.T
     d = z[i] - z[j]
     lens = np.hypot(d.real, d.imag) * np.exp(0.5 * (phi[i] + phi[j]))
-    mesh = SurfaceMesh(tris, edge_lengths=lens)
+    mesh = SurfaceMesh(tri, edge_lengths=lens)
     return mesh, MapSample(z, 1)
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 from functools import partial
@@ -251,6 +252,34 @@ def test_batch_budget_matches_verify_with_budget(tmp_path, runner):
     rep = verify_with_budget(partial(fixtures.instance, "cap-pi3"), 12)
     assert fine["eps_fem"] == rep.eps_fem
     assert fine == rep.to_json_dict()
+
+
+def test_batch_takes_each_fixtures_exact_degree(tmp_path, runner):
+    # at rings 4 the branched map's Jacobian estimate is 1.91, not 2
+    csv_file = tmp_path / "slack.csv"
+    result = runner.invoke(main, ["batch", "--refine-levels", "2",
+                                  "--base-resolution", "4",
+                                  "--csv", str(csv_file)])
+    assert result.exit_code == 0, result.output
+    with open(csv_file) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["degree"] for r in rows if r["fixture"] == "branched"] == ["2", "2"]
+
+
+@pytest.mark.parametrize("command", ["gen", "verify", "batch"])
+def test_unwritable_output_is_a_json_error(tmp_path, runner, command):
+    mesh_file, missing = tmp_path / "disc.json", tmp_path / "missing" / "out"
+    save_mesh(mesh_file, *fixtures.build("disc", 4))
+    args = {"gen": ["gen", "--shape", "disc", "--resolution", "4",
+                    "--out", str(missing)],
+            "verify": ["verify", str(mesh_file), "--out", str(tmp_path)],
+            "batch": ["batch", "--refine-levels", "1", "--base-resolution",
+                      "6", "--csv", str(missing)]}[command]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    path = tmp_path if command == "verify" else missing
+    assert str(path) in json.loads(result.stderr)["error"]
 
 
 def _blas_threads():

@@ -149,7 +149,7 @@ class TestPatternAssembly:
             assert np.shares_memory(A.indptr, pattern.indptr)
             np.testing.assert_array_equal(A.toarray(), A.toarray().T)
 
-    def test_pattern_built_once_per_mesh(self, monkeypatch):
+    def test_pattern_built_once_per_triangulation(self, monkeypatch):
         built = []
         real = ms.mesh._csr_pattern
 
@@ -158,9 +158,36 @@ class TestPatternAssembly:
             return real(*args)
 
         monkeypatch.setattr(ms.mesh, "_csr_pattern", counted)
-        mesh, f = fixtures.instance("conformal-0", 6)
-        ms.verify_inequality(mesh, f)
+        ms.mesh._disc_structure.cache_clear()
+        # a second verdict at the same resolution, of the same fixture or
+        # another, builds none
+        for name in ("conformal-0", "conformal-0", "disc"):
+            mesh, f = fixtures.instance(name, 6)
+            ms.verify_inequality(mesh, f)
         assert built == [mesh.vertex_count]
+
+    @pytest.mark.parametrize("name", fixtures.BATTERY + ["relabelled"])
+    def test_interior_pattern_matches_fancy_index(self, name):
+        mesh = (_relabelled_intrinsic() if name == "relabelled"
+                else fixtures.instance(name, 12)[0])
+        interior = mesh.interior_vertex_indices()
+        sub = mesh.interior_pattern()
+        K, M = ms.assemble_stiffness(mesh), ms.assemble_mass(mesh)
+        blocks = []
+        for A in (K, M):
+            ref = A[np.ix_(interior, interior)].tocsr()
+            assert np.array_equal(sub.indptr, ref.indptr)
+            assert np.array_equal(sub.indices, ref.indices)
+            assert np.array_equal(A.data[sub.gather], ref.data)
+            blocks.append(ref)
+        # the shift-invert factor reads the CSR arrays of K - sigma M as
+        # its CSC arrays, which holds as both patterns are symmetric
+        for A, B in ((K, M), blocks):
+            sigma = -0.1 / B.sum()
+            ref = (A - sigma * B).tocsc()
+            assert np.array_equal(ref.indptr, A.indptr)
+            assert np.array_equal(ref.indices, A.indices)
+            assert np.array_equal(ref.data, A.data - sigma * B.data)
 
 
 class TestAssembleStiffness:

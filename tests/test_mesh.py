@@ -212,7 +212,7 @@ def _walk_boundary_loops(mesh):
 
 @pytest.mark.parametrize("rings", [1, 2, 5, 13])
 def test_ring_zipper_matches_scalar_loop(rings):
-    _, tris = ms.mesh._disc_structure(rings)
+    tris = ms.mesh._disc_structure(rings)[1].triangles
     assert tris.dtype == np.int64
     assert np.array_equal(tris, _loop_disc_structure(rings))
 
@@ -400,6 +400,53 @@ class TestValidation:
         m = ms.SurfaceMesh([[0, 1, 2]],
                            edge_lengths=[[1, 0, 3.0], [0, 2, 4.0], [2, 1, 5.0]])
         assert np.array_equal(m.lengths, [3.0, 4.0, 5.0])
+
+
+class TestTriangulation:
+    @pytest.mark.parametrize("rings", [12, 24])
+    def test_battery_shares_one_read_only_triangulation(self, rings):
+        meshes = [fixtures.instance(name, rings)[0] for name in fixtures.BATTERY]
+        z, tri = ms.mesh._disc_structure(rings)
+        assert all(m.triangulation is tri for m in meshes)
+        assert all(m.csr_pattern() is tri.csr_pattern() for m in meshes)
+        arrays = [z, tri.triangles, tri.edges, tri.corner_edges,
+                  tri.boundary_vertex_mask(), tri.interior_vertex_indices(),
+                  *tri.csr_pattern(), *tri.interior_pattern()]
+        for arr in arrays:
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            meshes[0].triangles[0, 0] = 1
+
+    def test_scaled_shares_the_triangulation(self, disc8, branched12):
+        for mesh in (disc8, branched12[0]):
+            assert mesh.scaled(2.0).triangulation is mesh.triangulation
+
+    def test_file_and_user_arrays_build_their_own(self, tmp_path, disc8):
+        before = ms.mesh._disc_structure.cache_info()
+        ms.save_mesh(tmp_path / "disc.json", disc8)
+        loaded, _ = ms.load_mesh(tmp_path / "disc.json")
+        own = ms.SurfaceMesh(disc8.triangles, positions=disc8.positions)
+        assert ms.mesh._disc_structure.cache_info() == before
+        for m in (loaded, own):
+            assert m.triangulation is not disc8.triangulation
+            assert np.array_equal(m.triangles, disc8.triangles)
+
+    def test_positions_must_match_a_given_triangulation(self, disc8):
+        with pytest.raises(MeshError, match="positions must have 217 rows"):
+            ms.SurfaceMesh(disc8.triangulation, positions=disc8.positions[:-1])
+
+    @pytest.mark.parametrize("triangles, n, message", [
+        ([[0, 1, 2], [0, 2, 2]], None, "repeated vertex"),
+        ([[0, 1, 2]], 4, "unreferenced vertices"),
+        ([[0, 1, 2], [1, 0, 3], [3, 0, 1]], None, "non-manifold"),
+        ([[0, 1, 2], [0, 3, 2]], None, "orientation"),
+        ([[0, 1, 2], [3, 4, 5]], None, "2 components"),
+        ([[0, 1, -2]], None, "negative vertex index"),
+        ([[0, 1, 5]], 4, "exceeds vertex count"),
+        ([[0, 1, 2.5]], None, "non-integer vertex index")])
+    def test_invalid_triangles_raise(self, triangles, n, message):
+        with pytest.raises(MeshError, match=message):
+            ms.mesh.Triangulation(triangles, n)
 
 
 class TestJsonInterchange:

@@ -303,3 +303,14 @@ class TestRichardsonBudget:
                 f"fine level {rep.mesh_resolution} equals coarse level "
                 f"{rep.mesh_resolution}")):
             richardson_budget(rep, rep)
+
+
+@pytest.mark.parametrize("rings", [12, 24])
+def test_cached_triangulation_gives_the_fresh_reports(rings):
+    for name in fixtures.BATTERY:
+        mesh, f = fixtures.instance(name, rings)
+        fresh = ms.SurfaceMesh(np.array(mesh.triangles), positions=mesh.positions,
+                               edge_lengths=mesh.lengths)
+        assert fresh.triangulation is not mesh.triangulation
+        assert (ms.mesh.dumps(ms.verify_inequality(fresh, f).to_json_dict())
+                == ms.mesh.dumps(ms.verify_inequality(mesh, f).to_json_dict()))
