@@ -133,8 +133,8 @@ def _verdict(name, resolution):
 
 
 @main.command()
-@click.option("--refine-levels", type=int, default=2)
-@click.option("--base-resolution", type=int, default=8)
+@click.option("--refine-levels", type=click.IntRange(min=1), default=2)
+@click.option("--base-resolution", type=click.IntRange(min=1), default=8)
 @click.option("--csv", "csv_path", type=click.Path(), required=True)
 @click.option("--out", type=click.Path(), default=None,
               help="also write the full reports as JSON")
@@ -144,13 +144,17 @@ def batch(refine_levels, base_resolution, csv_path, out):
     The verdicts run on one forked worker process per usable CPU
     (`fem.forked_map`), with the same output as one process.
     """
-    if refine_levels < 1:
-        _fail("refine-levels must be >= 1", code=2)
     jobs = [(name, level, base_resolution * 2 ** level)
             for name in fixtures.BATTERY for level in range(refine_levels)]
     # the finest level first, so that no long verdict starts last
     order = sorted(range(len(jobs)), key=lambda i: -jobs[i][1])
+    created = []        # the output files this batch made
     try:
+        # appending truncates nothing; a path it cannot write fails here
+        for path in [csv_path] + ([out] if out and out != "-" else []):
+            existed = os.path.lexists(path)
+            open(path, "ab").close()
+            created += [] if existed else [path]
         done = fem.forked_map([(_verdict, (jobs[i][0], jobs[i][2]))
                                for i in order])
         reports = [report for _, report in sorted(zip(order, done))]
@@ -168,6 +172,8 @@ def batch(refine_levels, base_resolution, csv_path, out):
         if out:
             _dump(out, docs)
     except (ValueError, RuntimeError, OSError) as exc:
+        for path in created:
+            os.remove(path)
         _fail(str(exc))
 
 

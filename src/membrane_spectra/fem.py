@@ -6,8 +6,8 @@ embedding.  Both matrices are filled, from per-edge and per-vertex sums,
 into the symmetric CSR pattern the mesh's triangulation builds once (the
 diagonal plus both orientations of every edge), so no assembly sorts.
 Dirichlet problems are solved on the interior vertices; Neumann problems
-on the full matrices with the zero mode detected and excluded.  Problems
-of up to `DENSE_CUTOFF` dofs, and requests for k >= n - 1 pairs, use a
+on the full matrices with the zero mode detected and excluded.  Size alone
+picks the solver: up to `DENSE_CUTOFF` dofs, and for k >= n - 1 pairs, a
 full-spectrum dense `eigh` sliced to k.  Larger ones use shift-invert
 Lanczos (`eigsh`) on one sparse LU factor of the shifted matrix, which is
 SPD and so factored in SuperLU's symmetric mode without pivoting, in
@@ -270,24 +270,20 @@ def _spectral_scale(K, M) -> float:
     return K.diagonal().sum() / M.diagonal().sum()
 
 
-def _solve_gevp(K, M, k: int, method: str = "auto"):
+def _solve_gevp(K, M, k: int):
     """k smallest eigenpairs of K u = lam M u (M > 0, one symmetric pattern)."""
     n = K.shape[0]
     if k < 1 or k > n:
         raise EigenSolveError(f"requested {k} eigenpairs from {n} dofs")
-    if method == "auto":
-        # ARPACK needs k < n, and a Krylov basis of nearly n vectors buys
-        # nothing over the dense solve
-        method = "dense" if n <= DENSE_CUTOFF or k >= n - 1 else "sparse"
-    if method == "dense":
+    # ARPACK needs k < n, and a Krylov basis of nearly n vectors buys
+    # nothing over the dense solve
+    if n <= DENSE_CUTOFF or k >= n - 1:
         # the full spectrum, sliced: a subset solve is less accurate and
         # moves with the number of pairs asked for
         with single_threaded_blas():
             vals, vecs = eigh(K.toarray(), M.toarray())
         vals, vecs = vals[:k], vecs[:, :k]
-    elif method == "sparse":
-        if k >= n:
-            raise EigenSolveError("sparse solver needs k < dof count")
+    else:
         # shift slightly below the spectrum; scaled with the metric so the
         # solve is invariant under global rescaling of edge lengths
         sigma = -0.1 / M.sum()
@@ -315,8 +311,6 @@ def _solve_gevp(K, M, k: int, method: str = "auto"):
             raise EigenSolveError(
                 f"shift-invert Lanczos failed on n={n} dofs, k={k}, "
                 f"sigma={sigma:.6e}: {exc}") from exc
-    else:
-        raise ValueError(f"unknown eigensolver method {method!r}")
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
 
@@ -340,8 +334,7 @@ def _solve_gevp(K, M, k: int, method: str = "auto"):
     return vals, vecs, res
 
 
-def solve_dirichlet(mesh: SurfaceMesh, k: int,
-                    method: str = "auto") -> SpectralResult:
+def solve_dirichlet(mesh: SurfaceMesh, k: int) -> SpectralResult:
     """k smallest eigenpairs with u = 0 on the boundary.
 
     The matrices are restricted to interior vertices; eigenfunctions are
@@ -359,14 +352,13 @@ def solve_dirichlet(mesh: SurfaceMesh, k: int,
     Ki, Mi = (csr_matrix((A.data[sub.gather], sub.indices, sub.indptr),
                          shape=(interior.size, interior.size))
               for A in (assemble_stiffness(mesh), assemble_mass(mesh)))
-    vals, vecs, res = _solve_gevp(Ki, Mi, k, method)
+    vals, vecs, res = _solve_gevp(Ki, Mi, k)
     full = np.zeros((mesh.vertex_count, k))
     full[interior] = vecs
     return SpectralResult("dirichlet", vals, full, res)
 
 
-def solve_neumann(mesh: SurfaceMesh, k: int,
-                  method: str = "auto") -> SpectralResult:
+def solve_neumann(mesh: SurfaceMesh, k: int) -> SpectralResult:
     """k smallest nonzero eigenpairs of the free problem.
 
     The Neumann condition is natural and never imposed.  The constant
@@ -379,7 +371,7 @@ def solve_neumann(mesh: SurfaceMesh, k: int,
     M = assemble_mass(mesh)
     # the zero mode and the k wanted ones; a disconnected mesh shows among
     # them as a second zero mode, or as no eigenvalue above the floor
-    vals, vecs, res = _solve_gevp(K, M, k + 1, method)
+    vals, vecs, res = _solve_gevp(K, M, k + 1)
 
     above = vals > ZERO_FLOOR_REL * _spectral_scale(K, M)
     if not above.any():

@@ -167,29 +167,34 @@ def _csr_pattern(edges: np.ndarray, n: int) -> CsrPattern:
 
 def _match_lengths(edges: np.ndarray, n: int, pairs: np.ndarray,
                    values: np.ndarray) -> np.ndarray:
-    """Lengths aligned to `edges` from (i, j) -> length rows given in any
-    order and orientation.  Rows naming no edge are ignored; an edge with
-    no row, or with two rows of different lengths, raises MeshError."""
+    """Lengths aligned to `edges` from (i, j) -> length rows in any order
+    and orientation.  A row that names no edge (or a vertex outside [0, n)),
+    an edge with two rows of different lengths or with no row raises
+    MeshError; a repeated row of the same length is harmless."""
     lo, hi = pairs.min(axis=1), pairs.max(axis=1)
-    inside = (lo >= 0) & (hi < n)
-    keys = (lo * n + hi)[inside]
-    values = values[inside]
-    order = np.argsort(keys, kind="stable")
-    keys, values = keys[order], values[order]
-    clash = np.flatnonzero((keys[1:] == keys[:-1]) & (values[1:] != values[:-1]))
+    # a row outside [0, n) could form an edge's key; it gets -1, no edge's
+    keys = np.where((lo >= 0) & (hi < n), lo * n + hi, -1)
+    want = edges[:, 0] * n + edges[:, 1]
+    at = np.minimum(np.searchsorted(want, keys), want.size - 1)
+    stray = np.flatnonzero(want[at] != keys)
+    if stray.size:
+        r = int(stray[0])
+        names = f"a vertex outside [0, {n})" if keys[r] < 0 else "no edge"
+        raise MeshError(f"edge length row {r} [{pairs[r, 0]}, {pairs[r, 1]}, "
+                        f"{float(values[r])!r}] names {names}")
+    order = np.argsort(at, kind="stable")
+    at, lens = at[order], values[order]
+    clash = np.flatnonzero((at[1:] == at[:-1]) & (lens[1:] != lens[:-1]))
     if clash.size:
         t = int(clash[0])
-        i, j = divmod(int(keys[t]), n)
+        i, j = edges[at[t]]
         raise MeshError(f"edge ({i}, {j}) is given two lengths, "
-                        f"{values[t]!r} and {values[t + 1]!r}")
-    want = edges[:, 0] * n + edges[:, 1]
-    at = np.searchsorted(keys, want)
-    found = at < keys.size
-    found[found] = keys[at[found]] == want[found]
+                        f"{float(lens[t])!r} and {float(lens[t + 1])!r}")
+    found = np.bincount(at, minlength=want.size) > 0
     if not found.all():
         i, j = edges[np.argmin(found)]
         raise MeshError(f"missing edge length for edge ({int(i)}, {int(j)})")
-    return values[at]
+    return lens[np.r_[True, at[1:] != at[:-1]]]     # each edge's first row
 
 
 class InteriorPattern(NamedTuple):
@@ -205,14 +210,13 @@ class Triangulation:
     """The topology of a mesh: read-only (F, 3) vertex-index triples with
     globally consistent orientation on `vertex_count` vertices (by default
     one more than the largest index), their edges and the edge opposite
-    each corner, checked once, here, unless `validate` is False (test
-    fixtures only).  The boundary, the interior and the CSR patterns are
-    built on first use and kept; a race between threads builds one twice,
-    which is harmless.  Meshes with different metrics on the same
-    triangles share one triangulation.
+    each corner, checked once, here.  The boundary, the interior and the
+    CSR patterns are built on first use and kept; a race between threads
+    builds one twice, which is harmless.  Meshes with different metrics on
+    the same triangles share one triangulation.
     """
 
-    def __init__(self, triangles, vertex_count=None, validate=True):
+    def __init__(self, triangles, vertex_count=None):
         tri = np.asarray(triangles)
         if (tri.ndim != 2 or tri.shape[1] != 3 or tri.shape[0] < 1
                 or tri.dtype.kind not in "iuf"):
@@ -236,8 +240,7 @@ class Triangulation:
         self.edges, self.corner_edges = _edge_structure(tri, n)
         self.edge_count = self.edges.shape[0]
         self._boundary_data = self._csr = self._interior_csr = None
-        if validate:
-            self._validate()
+        self._validate()
         _read_only(self.triangles, self.edges, self.corner_edges)
 
     def _validate(self):
@@ -381,22 +384,20 @@ class SurfaceMesh:
         Embedded vertex coordinates.  When given and `edge_lengths` is
         not, edge lengths are derived from them.
     edge_lengths : array_like, optional
-        Positive lengths as an (E,) array aligned to `edges`; or
-        (R, 3) rows [i, j, length] in any order and orientation, matched
-        to `edges` once.  Takes precedence over `positions` as the
-        metric; one of the two is required.
-    validate : bool
-        Skip invariant checks when False (test fixtures only).
+        Positive lengths as an (E,) array aligned to `edges`; or (R, 3)
+        rows [i, j, length] in any order and orientation that cover every
+        edge and name nothing else (`_match_lengths`).  Takes precedence
+        over `positions` as the metric; one of the two is required.
     """
 
-    def __init__(self, triangles, positions=None, edge_lengths=None, validate=True):
+    def __init__(self, triangles, positions=None, edge_lengths=None):
         pos = None if positions is None else np.ascontiguousarray(
             np.asarray(positions, dtype=float))
         if pos is not None and (pos.ndim != 2 or pos.shape[1] != 3):
             raise MeshError("positions must have shape (V, 3)")
         t = triangles
         if not isinstance(t, Triangulation):
-            t = Triangulation(t, None if pos is None else len(pos), validate)
+            t = Triangulation(t, None if pos is None else len(pos))
         elif pos is not None and len(pos) != t.vertex_count:
             raise MeshError(f"positions must have {t.vertex_count} rows")
         self.triangulation, self.positions = t, pos

@@ -1,14 +1,27 @@
 import os
+import sys
 
 import numpy as np
 import pytest
 
 import membrane_spectra as ms
-from membrane_spectra import balance, fem
+from membrane_spectra import balance, fem, mesh
 from membrane_spectra.fixtures import gaussian_bump_log_factor
 
 J0_ZERO = 2.4048255576      # first positive zero of J0
 J1P_ZERO = 1.8411837813     # first positive zero of J1'
+
+# edge-length rows that name no edge of the 37-vertex branched disc (rings
+# 3), with the error each raises
+BAD_ROWS = [
+    pytest.param([5, 99999, 1.0],
+                 r"\[5, 99999, 1\.0\] names a vertex outside \[0, 37\)",
+                 id="vertex-past-the-last"),
+    pytest.param([-3, 2, 0.5],
+                 r"\[-3, 2, 0\.5\] names a vertex outside \[0, 37\)",
+                 id="negative-vertex"),
+    pytest.param([0, 30, 0.7], r"\[0, 30, 0\.7\] names no edge$",
+                 id="not-an-edge")]
 
 
 @pytest.fixture()
@@ -46,6 +59,24 @@ def cpus(monkeypatch):
             monkeypatch.setattr(os, "fork", counted)
         return forks
     return set_cpus
+
+
+@pytest.fixture()
+def solver_path(monkeypatch):
+    """`solver_path("dense")` sends every later eigensolve to the dense
+    `eigh`, and `solver_path("sparse")` every one the size rule allows
+    (k < n - 1) to shift-invert Lanczos, by moving `fem.DENSE_CUTOFF`."""
+    def force(path):
+        cutoff = {"dense": sys.maxsize, "sparse": 0}[path]
+        monkeypatch.setattr(fem, "DENSE_CUTOFF", cutoff)
+    return force
+
+
+@pytest.fixture()
+def unvalidated(monkeypatch):
+    """Meshes built in the test skip the triangulation's checks, so that a
+    solver or walk can be shown an invalid mesh."""
+    monkeypatch.setattr(mesh.Triangulation, "_validate", lambda self: None)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 from functools import partial
 
 import pytest
@@ -11,7 +12,7 @@ from membrane_spectra import fem, fixtures, save_mesh, verify_with_budget
 from membrane_spectra import verify as verify_module
 from membrane_spectra.cli import main
 
-from conftest import octahedron
+from conftest import BAD_ROWS, octahedron
 
 
 @pytest.fixture()
@@ -282,6 +283,41 @@ def test_unwritable_output_is_a_json_error(tmp_path, runner, command):
     assert str(path) in json.loads(result.stderr)["error"]
 
 
+@pytest.mark.parametrize("flag", ["--csv", "--out", "--out-existing-csv"])
+def test_batch_unwritable_output_fails_before_any_verdict(tmp_path, runner,
+                                                         cpus, flag):
+    csv_file, out = tmp_path / "s.csv", tmp_path / "r.json"
+    missing = tmp_path / "missing" / "out"
+    if flag == "--out-existing-csv":
+        csv_file.write_text("kept\n")
+    forks = cpus(2)
+    result = runner.invoke(main, [
+        "batch", "--base-resolution", "6",
+        "--csv", str(missing if flag == "--csv" else csv_file),
+        "--out", str(out if flag == "--csv" else missing)])
+    assert result.exit_code == 1
+    assert str(missing) in json.loads(result.stderr)["error"]
+    assert forks == []
+    # no file this batch created is left, and none it found is changed
+    assert sorted(os.listdir(tmp_path)) == (
+        ["s.csv"] if flag == "--out-existing-csv" else [])
+    if flag == "--out-existing-csv":
+        assert csv_file.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("flag", ["--refine-levels", "--base-resolution"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_batch_rejects_a_count_below_one_as_a_bad_flag(tmp_path, runner, cpus,
+                                                       flag, value):
+    forks = cpus(2)
+    result = runner.invoke(main, ["batch", flag, value,
+                                  "--csv", str(tmp_path / "s.csv")])
+    assert result.exit_code == 2
+    assert flag in result.stderr
+    assert forks == []
+    assert os.listdir(tmp_path) == []
+
+
 def _blas_threads():
     return [get() for get, _ in fem._openblas_libraries()]
 
@@ -420,6 +456,19 @@ def test_verify_non_finite_token_fails_cleanly(tmp_path, runner, value, token):
     result = runner.invoke(main, ["verify", str(mesh_file)])
     assert result.exit_code == 1
     assert "error" in json.loads(result.stderr)
+
+
+@pytest.mark.parametrize("bad, message", BAD_ROWS)
+def test_row_naming_no_edge_is_a_json_error(tmp_path, runner, bad, message):
+    mesh_file = tmp_path / "branched.json"
+    save_mesh(mesh_file, *fixtures.build("branched-disc", 3))
+    doc = json.loads(mesh_file.read_text())
+    doc["edge_lengths"].append(bad)
+    mesh_file.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["verify", str(mesh_file)])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert re.search(message, json.loads(result.stderr)["error"])
 
 
 @pytest.mark.parametrize("doc", [5, {"triangles": [[0, 1, 2]],

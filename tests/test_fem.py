@@ -1,3 +1,4 @@
+import inspect
 import os
 import re
 import signal
@@ -311,22 +312,21 @@ class TestSolveNeumann:
         for u in res.eigenfunctions.T:
             assert abs(one @ (M @ u)) < 1e-12
 
-    def test_disconnected_reports_extra_zero_modes(self):
+    def test_disconnected_reports_extra_zero_modes(self, unvalidated):
         pos = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0],
                         [5, 5, 0], [6, 5, 0], [5, 6, 0]], dtype=float)
-        m = ms.SurfaceMesh([[0, 1, 2], [3, 4, 5]], positions=pos,
-                           validate=False)
+        m = ms.SurfaceMesh([[0, 1, 2], [3, 4, 5]], positions=pos)
         with pytest.raises(EigenSolveError, match="disconnected"):
             ms.solve_neumann(m, 1)
 
     @pytest.mark.parametrize("k, message", [
         (1, "no eigenvalue above the zero-mode floor among the 2 smallest"),
         (3, "3 numerically zero Neumann modes")])
-    def test_three_components_are_disconnected(self, k, message):
+    def test_three_components_are_disconnected(self, unvalidated, k,
+                                               message):
         tri = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
         pos = np.vstack([tri + [5.0 * c, 0, 0] for c in range(3)])
-        m = ms.SurfaceMesh(np.arange(9).reshape(3, 3), positions=pos,
-                           validate=False)
+        m = ms.SurfaceMesh(np.arange(9).reshape(3, 3), positions=pos)
         with pytest.raises(EigenSolveError,
                            match=f"{message}.*mesh is disconnected"):
             ms.solve_neumann(m, k)
@@ -406,15 +406,16 @@ class TestVariationalProperties:
         assert scaled.total_area() == pytest.approx(c ** 2 * disc8.total_area(),
                                                     rel=1e-12)
 
-    @pytest.mark.parametrize("method", ["dense", "sparse"])
+    @pytest.mark.parametrize("path", ["dense", "sparse"])
     @pytest.mark.parametrize("c", [1e-4, 1e-2, 1e2, 1e4])
-    def test_metric_scaling_extremes(self, disc16, c, method):
+    def test_metric_scaling_extremes(self, disc16, solver_path, c, path):
         # the residual check is relative to lambda, so it neither rejects
         # small metrics nor passes vacuously on large ones
+        solver_path(path)
         scaled = disc16.scaled(c)
         for solve in (ms.solve_dirichlet, ms.solve_neumann):
-            r1 = solve(disc16, 2, method=method)
-            r2 = solve(scaled, 2, method=method)
+            r1 = solve(disc16, 2)
+            r2 = solve(scaled, 2)
             np.testing.assert_allclose(r2.eigenvalues * c ** 2, r1.eigenvalues,
                                        rtol=1e-10)
             ratio = np.max(r2.residuals) / np.max(r1.residuals)
@@ -422,17 +423,21 @@ class TestVariationalProperties:
 
 
 class TestSolverAgreement:
-    def test_dense_vs_sparse(self):
+    def test_dense_vs_sparse(self, solver_path):
         m = ms.generate_disc(18)  # 1027 vertices
-        for solve in (ms.solve_dirichlet, ms.solve_neumann):
-            dense = solve(m, 3, method="dense").eigenvalues
-            sparse = solve(m, 3, method="sparse").eigenvalues
-            np.testing.assert_allclose(sparse, dense, rtol=1e-7)
+        solves = (ms.solve_dirichlet, ms.solve_neumann)
+        solver_path("dense")
+        dense = [solve(m, 3).eigenvalues for solve in solves]
+        solver_path("sparse")
+        sparse = [solve(m, 3).eigenvalues for solve in solves]
+        for s, d in zip(sparse, dense):
+            np.testing.assert_allclose(s, d, rtol=1e-7)
 
-    def test_dense_answer_does_not_depend_on_k(self, branched12):
+    def test_dense_answer_does_not_depend_on_k(self, branched12, solver_path):
         mesh, _ = branched12
-        four = ms.solve_neumann(mesh, 4, method="dense").eigenvalues
-        five = ms.solve_neumann(mesh, 5, method="dense").eigenvalues
+        solver_path("dense")
+        four = ms.solve_neumann(mesh, 4).eigenvalues
+        five = ms.solve_neumann(mesh, 5).eigenvalues
         assert np.array_equal(five[:4], four)
 
     @pytest.mark.parametrize("solve, rings, extra", [
@@ -440,8 +445,8 @@ class TestSolverAgreement:
         (ms.solve_neumann, 10, 1)])      # 331 vertices, k + 1 pairs
     @pytest.mark.parametrize("gap, path", [
         (2, "eigsh"), (1, "eigh"), (0, "eigh")])
-    def test_auto_near_the_full_spectrum(self, monkeypatch, solve, rings,
-                                         extra, gap, path):
+    def test_auto_near_the_full_spectrum(self, monkeypatch, solver_path,
+                                         solve, rings, extra, gap, path):
         # k = n - 2 takes shift-invert with the Lanczos basis capped at n;
         # k >= n - 1 is left to the dense solver
         mesh = ms.generate_disc(rings)
@@ -462,7 +467,8 @@ class TestSolverAgreement:
         assert np.max(res.residuals) <= fem.RESIDUAL_TOL
         if path == "eigsh":
             monkeypatch.undo()
-            dense = solve(mesh, n - gap - extra, method="dense")
+            solver_path("dense")
+            dense = solve(mesh, n - gap - extra)
             np.testing.assert_allclose(res.eigenvalues, dense.eigenvalues,
                                        rtol=1e-9)
 
@@ -495,10 +501,11 @@ class TestSolverAgreement:
         assert max(report.dirichlet_residuals
                    + report.neumann_residuals) <= fem.RESIDUAL_TOL
 
-    def test_sparse_is_deterministic(self):
+    def test_sparse_is_deterministic(self, solver_path):
         m = ms.generate_disc(24)
-        a = ms.solve_neumann(m, 2, method="sparse")
-        b = ms.solve_neumann(m, 2, method="sparse")
+        solver_path("sparse")
+        a = ms.solve_neumann(m, 2)
+        b = ms.solve_neumann(m, 2)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.eigenfunctions, b.eigenfunctions)
 
@@ -507,25 +514,28 @@ class TestSolverAgreement:
                             np.empty(0), np.empty((0, 0))),
         RuntimeError("Factor is exactly singular"),
     ])
-    def test_sparse_failure_is_typed(self, disc8, monkeypatch, error):
+    def test_sparse_failure_is_typed(self, disc8, monkeypatch, solver_path,
+                                     error):
         def fail(*args, **kwargs):
             raise error
 
         monkeypatch.setattr(fem, "eigsh", fail)
+        solver_path("sparse")
         n = disc8.interior_vertex_indices().size
         with pytest.raises(EigenSolveError,
                            match=rf"n={n} dofs, k=1, sigma=-\S+: "):
-            ms.solve_dirichlet(disc8, 1, method="sparse")
+            ms.solve_dirichlet(disc8, 1)
 
-    def test_singular_factor_is_typed(self, disc8, monkeypatch):
+    def test_singular_factor_is_typed(self, disc8, monkeypatch, solver_path):
         def fail(*args, **kwargs):
             raise RuntimeError("Factor is exactly singular")
 
         monkeypatch.setattr(fem, "splu", fail)
+        solver_path("sparse")
         with pytest.raises(EigenSolveError, match="Factor is exactly singular"):
-            ms.solve_neumann(disc8, 2, method="sparse")
+            ms.solve_neumann(disc8, 2)
 
-    def test_nan_residual_is_rejected(self, disc8, monkeypatch):
+    def test_nan_residual_is_rejected(self, disc8, monkeypatch, solver_path):
         real = fem.eigsh
 
         def nan_row(*args, **kwargs):
@@ -534,20 +544,24 @@ class TestSolverAgreement:
             return vals, vecs
 
         monkeypatch.setattr(fem, "eigsh", nan_row)
+        solver_path("sparse")
         with pytest.raises(EigenSolveError, match="residuals too large: max nan"):
-            ms.solve_dirichlet(disc8, 1, method="sparse")
+            ms.solve_dirichlet(disc8, 1)
 
-    def test_other_runtime_errors_propagate(self, disc8, monkeypatch):
+    def test_other_runtime_errors_propagate(self, disc8, monkeypatch,
+                                            solver_path):
         def fail(*args, **kwargs):
             raise RuntimeError("unrelated")
 
         monkeypatch.setattr(fem, "eigsh", fail)
+        solver_path("sparse")
         with pytest.raises(RuntimeError, match="unrelated") as info:
-            ms.solve_dirichlet(disc8, 1, method="sparse")
+            ms.solve_dirichlet(disc8, 1)
         assert not isinstance(info.value, EigenSolveError)
 
-    @pytest.mark.parametrize("rings, dense, sparse", [(4, 2, 0), (12, 0, 2)])
-    def test_solver_path(self, monkeypatch, rings, dense, sparse):
+    @staticmethod
+    def _verdict_solves(monkeypatch, rings):
+        """`eigh` and `eigsh` calls of one verdict on the `rings` disc."""
         calls = {"eigh": 0, "eigsh": 0}
         for name in calls:
             original = getattr(fem, name)
@@ -558,14 +572,37 @@ class TestSolverAgreement:
 
             monkeypatch.setattr(fem, name, counted)
         ms.verify_inequality(*fixtures.instance("disc", rings))
+        return calls
+
+    @pytest.mark.parametrize("rings, dense, sparse", [(4, 2, 0), (12, 0, 2)])
+    def test_solver_path(self, monkeypatch, rings, dense, sparse):
+        calls = self._verdict_solves(monkeypatch, rings)
         assert calls == {"eigh": dense, "eigsh": sparse}
 
+    @pytest.mark.parametrize("rings, path, dense, sparse", [
+        (4, "sparse", 0, 2), (12, "dense", 2, 0)])
+    def test_solver_path_fixture_forces_the_path(self, monkeypatch,
+                                                 solver_path, rings, path,
+                                                 dense, sparse):
+        # each size takes the other path by default (test_solver_path)
+        solver_path(path)
+        calls = self._verdict_solves(monkeypatch, rings)
+        assert calls == {"eigh": dense, "eigsh": sparse}
+
+    def test_no_caller_chooses_the_path_or_skips_checks(self):
+        for fn in (fem.solve_dirichlet, fem.solve_neumann, fem._solve_gevp,
+                   ms.mesh.Triangulation, ms.SurfaceMesh):
+            params = inspect.signature(fn).parameters
+            assert not {"method", "validate"} & set(params), fn
+
     @pytest.mark.parametrize("name", fixtures.BATTERY)
-    def test_auto_matches_dense_on_battery(self, name):
+    def test_auto_matches_dense_on_battery(self, name, solver_path):
         m, _ = fixtures.instance(name, 12)
-        for solve, k in ((ms.solve_dirichlet, 1), (ms.solve_neumann, 2)):
-            np.testing.assert_allclose(solve(m, k).eigenvalues,
-                                       solve(m, k, method="dense").eigenvalues,
+        solves = ((ms.solve_dirichlet, 1), (ms.solve_neumann, 2))
+        auto = [solve(m, k).eigenvalues for solve, k in solves]
+        solver_path("dense")
+        for (solve, k), values in zip(solves, auto):
+            np.testing.assert_allclose(values, solve(m, k).eigenvalues,
                                        rtol=1e-9)
 
 

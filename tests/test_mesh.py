@@ -11,7 +11,7 @@ import membrane_spectra as ms
 from membrane_spectra import fixtures
 from membrane_spectra.mesh import MeshError
 
-from conftest import octahedron, square_mesh
+from conftest import BAD_ROWS, octahedron, square_mesh
 
 
 def polygon_area(n):
@@ -238,10 +238,10 @@ class TestBoundaryLoops:
                   ms.generate_branched_double_disc(7)[0]):
             assert m.boundary_loops() == _walk_boundary_loops(m)
 
-    def test_pinched_boundary_rejected(self):
+    def test_pinched_boundary_rejected(self, unvalidated):
         # two triangles sharing only vertex 0
         pos = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]]
-        m = ms.SurfaceMesh([[0, 1, 2], [0, 3, 4]], positions=pos, validate=False)
+        m = ms.SurfaceMesh([[0, 1, 2], [0, 3, 4]], positions=pos)
         with pytest.raises(MeshError, match="non-manifold boundary at vertex 0"):
             m.boundary_loops()
 
@@ -502,7 +502,26 @@ class TestJsonInterchange:
         assert np.array_equal(ms.mesh.mesh_from_json_dict(same)[0].lengths,
                               mesh.lengths)
         doc["edge_lengths"].append([j, i, 2.0 * length])
-        with pytest.raises(MeshError, match=rf"edge \({i}, {j}\) is given two lengths"):
+        with pytest.raises(MeshError, match=rf"edge \({i}, {j}\) is given two "
+                                            rf"lengths, {length} and {2.0 * length}$"):
+            ms.mesh.mesh_from_json_dict(doc)
+
+    @pytest.mark.parametrize("bad, message", BAD_ROWS)
+    def test_row_naming_no_edge_rejected(self, bad, message):
+        mesh, _ = ms.generate_branched_double_disc(3)      # 37 vertices
+        rows = ms.mesh.mesh_to_json_dict(mesh)["edge_lengths"]
+        with pytest.raises(MeshError, match=rf"row {len(rows)} {message}"):
+            ms.SurfaceMesh(mesh.triangles, edge_lengths=rows + [bad])
+
+    def test_out_of_range_row_is_not_matched_to_an_edge(self):
+        mesh, _ = ms.generate_branched_double_disc(3)
+        doc = ms.mesh.mesh_to_json_dict(mesh)
+        n = mesh.vertex_count
+        # (i - 1) * n + (j + n) is edge (i, j)'s key i * n + j
+        i, j, length = doc["edge_lengths"].pop(-1)
+        doc["edge_lengths"].append([i - 1, j + n, length])
+        with pytest.raises(MeshError, match=rf"\[{i - 1}, {j + n}, "
+                                            rf"{length}\] names a vertex outside"):
             ms.mesh.mesh_from_json_dict(doc)
 
     def test_map_length_must_match_vertices(self, branched12):
