@@ -15,7 +15,7 @@ from .transplant import (SphereFunctions, compute_degree,
                          lift_to_hemisphere, mobius, transplant_coords)
 from .verify import (VerificationReport, check_eq3_implication,
                      trial_bound_sum, verify_eq3, verify_inequality,
-                     verify_with_budget)
+                     verify_levels)
 
 __all__ = [
     "BalanceError", "BalanceResult", "EigenSolveError", "MapSample",
@@ -29,7 +29,7 @@ __all__ = [
     "lift_to_hemisphere", "load_mesh", "mobius", "rayleigh_quotient",
     "save_mesh", "solve_dirichlet", "solve_neumann",
     "transplant_coords", "trial_bound_sum", "verify_eq3",
-    "verify_inequality", "verify_with_budget",
+    "verify_inequality", "verify_levels",
 ]
 
 __version__ = "0.1.0"

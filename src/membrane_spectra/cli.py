@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import sys
+from functools import partial
 
 import click
 import numpy as np
@@ -17,13 +18,24 @@ def _fail(message: str, code: int = 1):
     sys.exit(code)
 
 
-def _dump(path, doc):
-    data = meshmod.dumps(doc, indent=True)
-    if path is None or path == "-":
+def _one_stdout(**paths):
+    """Exit 2 when both output options are '-', standard output."""
+    if list(paths.values()).count("-") > 1:
+        _fail(" and ".join(f"--{name}" for name in paths)
+              + " both write to standard output ('-')", code=2)
+
+
+def _write(path, data: bytes, mode="wb"):
+    """Write data to the file at path, or to standard output for '-'."""
+    if path == "-":
         click.echo(data.decode(), nl=False)
     else:
-        with open(path, "wb") as fh:
+        with open(path, mode) as fh:
             fh.write(data)
+
+
+def _dump(path, doc):
+    _write(path, meshmod.dumps(doc, indent=True))
 
 
 @click.group()
@@ -91,9 +103,10 @@ def _resolve_map(m, stored, map_kind):
               help="'auto' (Jacobian integral) or an explicit integer")
 @click.option("--out", type=click.Path(), default="-")
 @click.option("--csv", "csv_path", type=click.Path(), default=None,
-              help="append a CSV row to this file")
+              help="append a CSV row to this file, or '-' for stdout")
 def verify_cmd(mesh_file, map_kind, degree, out, csv_path):
     """Verify both eigenvalue inequalities on a mesh-plus-map instance."""
+    _one_stdout(out=out, csv=csv_path)
     deg = degree
     if degree != "auto":
         try:
@@ -107,18 +120,14 @@ def verify_cmd(mesh_file, map_kind, degree, out, csv_path):
         report = verifymod.verify_inequality(m, f, degree=deg)
         _dump(out, report.to_json_dict())
         if csv_path:
-            row = report.csv_row(fixture=os.path.basename(mesh_file))
-            _append_csv(csv_path, [row])
+            name = os.path.basename(mesh_file)
+            text = verifymod.reports_to_csv({f"{name}:0": report})
+            if (csv_path != "-" and os.path.isfile(csv_path)
+                    and os.path.getsize(csv_path)):
+                text = text.split("\n", 1)[1]      # drop the header on append
+            _write(csv_path, text.encode(), "ab")
     except (ValueError, RuntimeError, OSError) as exc:
         _fail(str(exc))
-
-
-def _append_csv(path, rows):
-    text = verifymod.reports_to_csv(rows)
-    with open(path, "a") as fh:
-        if fh.tell():        # append mode starts at the end of the file
-            text = text.split("\n", 1)[1]  # drop the header on append
-        fh.write(text)
 
 
 # perfbench/workloads.py imports both names from this module
@@ -126,51 +135,31 @@ BATCH_FIXTURES = fixtures.BATTERY
 _batch_instance = fixtures.instance
 
 
-def _verdict(name, resolution):
-    # the fixture's exact degree: a coarse mesh's estimate may not round to it
-    m, f = fixtures.instance(name, resolution)
-    return verifymod.verify_inequality(m, f, degree=f.degree)
-
-
 @main.command()
 @click.option("--refine-levels", type=click.IntRange(min=1), default=2)
 @click.option("--base-resolution", type=click.IntRange(min=1), default=8)
 @click.option("--csv", "csv_path", type=click.Path(), required=True)
 @click.option("--out", type=click.Path(), default=None,
-              help="also write the full reports as JSON")
+              help="also write the full reports as JSON, '-' for stdout")
 def batch(refine_levels, base_resolution, csv_path, out):
-    """Run the built-in fixture suite across refinement levels.
-
-    The verdicts run on one forked worker process per usable CPU
-    (`fem.forked_map`), with the same output as one process.
-    """
-    jobs = [(name, level, base_resolution * 2 ** level)
-            for name in fixtures.BATTERY for level in range(refine_levels)]
-    # the finest level first, so that no long verdict starts last
-    order = sorted(range(len(jobs)), key=lambda i: -jobs[i][1])
+    """Run the built-in fixture battery across refinement levels
+    (`verify.verify_levels`)."""
+    _one_stdout(csv=csv_path, out=out)
     created = []        # the output files this batch made
     try:
         # appending truncates nothing; a path it cannot write fails here
-        for path in [csv_path] + ([out] if out and out != "-" else []):
+        for path in [p for p in (csv_path, out) if p not in (None, "-")]:
             existed = os.path.lexists(path)
             open(path, "ab").close()
             created += [] if existed else [path]
-        done = fem.forked_map([(_verdict, (jobs[i][0], jobs[i][2]))
-                               for i in order])
-        reports = [report for _, report in sorted(zip(order, done))]
-        rows, docs = [], {}
-        # jobs are listed by fixture with levels in order, so level l > 0
-        # pairs with the report just before it
-        for i, ((name, level, _), report) in enumerate(zip(jobs, reports)):
-            if level > 0:
-                report.eps_fem = verifymod.richardson_budget(report,
-                                                             reports[i - 1])
-            rows.append(report.csv_row(fixture=name, level=level))
-            docs[f"{name}:{level}"] = report.to_json_dict()
-        with open(csv_path, "w") as fh:
-            fh.write(verifymod.reports_to_csv(rows))
+        reports = verifymod.verify_levels(
+            {name: partial(fixtures.instance, name)
+             for name in fixtures.BATTERY},
+            [base_resolution * 2 ** level for level in range(refine_levels)])
+        _write(csv_path, verifymod.reports_to_csv(reports).encode())
         if out:
-            _dump(out, docs)
+            _dump(out, {key: report.to_json_dict()
+                        for key, report in reports.items()})
     except (ValueError, RuntimeError, OSError) as exc:
         for path in created:
             os.remove(path)

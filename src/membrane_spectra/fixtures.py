@@ -51,15 +51,6 @@ def random_log_factor(seed: int, amplitude: float = 1.0):
     return phi
 
 
-def gaussian_bump_log_factor(center: complex = 0.5, amplitude: float = 1.0,
-                             width: float = 0.3):
-    def phi(z):
-        z = np.asarray(z, dtype=complex)
-        return amplitude * np.exp(-(np.abs(z - center) ** 2) / (2.0 * width ** 2))
-
-    return phi
-
-
 def build(shape: str, resolution: int, *, colatitude: float = np.pi / 2,
           inner_radius: float = 0.5, seed: int = 0, amplitude: float = 1.0):
     """(mesh, map) of one of `SHAPES`; the annulus carries no map (None)."""

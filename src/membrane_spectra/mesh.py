@@ -83,9 +83,6 @@ class MapSample:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "degree", positive_degree(self.degree))
 
-    def rotated(self, theta: float) -> "MapSample":
-        return MapSample(np.exp(1j * theta) * self.values, self.degree)
-
     def check_proper(self, mesh: "SurfaceMesh") -> None:
         """Raise if boundary vertices sit farther than PROPER_TOL from the
         unit circle, or if the mesh has none."""
@@ -391,10 +388,8 @@ class SurfaceMesh:
     """
 
     def __init__(self, triangles, positions=None, edge_lengths=None):
-        pos = None if positions is None else np.ascontiguousarray(
-            np.asarray(positions, dtype=float))
-        if pos is not None and (pos.ndim != 2 or pos.shape[1] != 3):
-            raise MeshError("positions must have shape (V, 3)")
+        pos = None if positions is None else _floats(
+            positions, "positions must be a (V, 3) array of numbers", 3)
         t = triangles
         if not isinstance(t, Triangulation):
             t = Triangulation(t, None if pos is None else len(pos))
@@ -403,7 +398,8 @@ class SurfaceMesh:
         self.triangulation, self.positions = t, pos
 
         if edge_lengths is not None:
-            lens = np.array(edge_lengths, dtype=float)
+            lens = _floats(edge_lengths, "edge lengths must be an (E,) array "
+                           "aligned to edges or (R, 3) rows [i, j, length]")
             if lens.ndim == 2 and lens.shape[1] == 3:
                 pairs = lens[:, :2].astype(np.int64)
                 if not np.array_equal(pairs, lens[:, :2]):
@@ -633,16 +629,21 @@ def mesh_from_json_dict(doc: dict) -> tuple[SurfaceMesh, MapSample | None]:
     return mesh, ms
 
 
-def _json_array(rows, name: str, width: int) -> np.ndarray:
-    """A JSON list of `width`-number rows as a float (R, width) array."""
+def _floats(values, message: str, width: int = 0) -> np.ndarray:
+    """`values` as a new float array, of (R, width) rows for a width > 0;
+    MeshError(message) when they are not such numbers."""
     try:
-        arr = np.array(rows, dtype=float)
+        arr = np.array(values, dtype=float, order="C")
     except (TypeError, ValueError):
         arr = None
-    if arr is None or arr.ndim != 2 or arr.shape[1] != width:
-        raise MeshError(f"mesh JSON '{name}' must be a list of rows of "
-                        f"{width} numbers")
+    if arr is None or width and (arr.ndim != 2 or arr.shape[1] != width):
+        raise MeshError(message)
     return arr
+
+
+def _json_array(rows, name: str, width: int) -> np.ndarray:
+    return _floats(rows, f"mesh JSON '{name}' must be a list of rows of "
+                   f"{width} numbers", width)
 
 
 def dumps(doc, indent: bool = False) -> bytes:

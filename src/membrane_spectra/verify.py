@@ -97,14 +97,6 @@ class VerificationReport:
             doc["budgeted_slack3"] = self.budgeted_slack3()
         return doc
 
-    def csv_row(self, fixture: str = "", level: int = 0) -> dict:
-        eps = self.eps_fem or {}
-        bal = self.balance
-        return dict(zip(CSV_FIELDS, (
-            fixture, level, *(getattr(self, name) for name in SCALARS),
-            bal.residual if bal else "", bal.iterations if bal else "",
-            *(eps.get(name, "") for name in MARGINS)), strict=True))
-
 
 def trial_bound_sum(mesh: SurfaceMesh, f: MapSample, a: complex) -> float:
     """Sum of reciprocal Rayleigh quotients of the balanced transplants.
@@ -238,27 +230,43 @@ def richardson_budget(fine: VerificationReport,
     return budget
 
 
-def verify_with_budget(make_instance, resolution: int) -> VerificationReport:
-    """Verify at `resolution` and at `resolution // 2`, and return the fine
-    report with its Richardson budget in eps_fem.
+def verify_levels(instances: dict, resolutions) -> dict:
+    """`{"<label>:<level>": report}` of `instances[label](resolution)`, a
+    (mesh, map) pair, at every level of the increasing `resolutions`, in
+    label-then-level order; a level after the first carries in eps_fem its
+    Richardson budget against the level before.  Each verdict takes its
+    map's exact degree and goes to `fem.forked_map` finest level first, so
+    that no long verdict starts last; the first failure there is raised."""
+    resolutions = list(resolutions)
+    if sorted(set(resolutions)) != resolutions or min(resolutions or [0]) < 1:
+        raise ValueError(f"resolutions must be an increasing list of "
+                         f"positive integers, got {resolutions}")
 
-    `make_instance(resolution)` must return a (mesh, map) pair.
-    """
-    if resolution < 2:
-        raise ValueError(
-            f"Richardson budget needs resolution >= 2: fine level "
-            f"{resolution} has coarse level {resolution // 2}")
-    fine = verify_inequality(*make_instance(resolution))
-    coarse = verify_inequality(*make_instance(resolution // 2))
-    fine.eps_fem = richardson_budget(fine, coarse)
-    return fine
+    def _verdict(label, resolution):
+        # named by label and resolution in a dead worker's error
+        m, f = instances[label](resolution)
+        return verify_inequality(m, f, degree=f.degree)
+
+    levels = range(len(resolutions))
+    jobs = [(label, level) for level in reversed(levels) for label in instances]
+    done = dict(zip(jobs, fem.forked_map(
+        [(_verdict, (label, resolutions[level])) for label, level in jobs])))
+    for (label, level), report in done.items():
+        if level:
+            report.eps_fem = richardson_budget(report, done[label, level - 1])
+    return {f"{label}:{level}": done[label, level] for label in instances
+            for level in levels}
 
 
-def reports_to_csv(rows: list[dict]) -> str:
-    """Render csv_row() dictionaries as CSV text with a fixed header."""
+def reports_to_csv(reports: dict) -> str:
+    """CSV text, one row per report of `{"<fixture>:<level>": report}`."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_FIELDS)
+    for key, report in reports.items():
+        eps, bal = report.eps_fem or {}, report.balance
+        writer.writerow([    # the fixture and the level, then the report
+            *key.rsplit(":", 1), *(getattr(report, name) for name in SCALARS),
+            bal.residual if bal else "", bal.iterations if bal else "",
+            *(eps.get(name, "") for name in MARGINS)])
     return buf.getvalue()

@@ -6,7 +6,6 @@ import pytest
 
 import membrane_spectra as ms
 from membrane_spectra import balance, fem, mesh
-from membrane_spectra.fixtures import gaussian_bump_log_factor
 
 J0_ZERO = 2.4048255576      # first positive zero of J0
 J1P_ZERO = 1.8411837813     # first positive zero of J1'
@@ -102,6 +101,21 @@ def hemisphere16():
 @pytest.fixture(scope="session")
 def hemisphere32():
     return ms.generate_spherical_cap(np.pi / 2, 32)
+
+
+def gaussian_bump_log_factor(center: complex = 0.5, amplitude: float = 1.0,
+                             width: float = 0.3):
+    """Conformal log-factor of a Gaussian bump at `center`."""
+    def phi(z):
+        z = np.asarray(z, dtype=complex)
+        return amplitude * np.exp(-(np.abs(z - center) ** 2) / (2.0 * width ** 2))
+
+    return phi
+
+
+def rotated(f, theta):
+    """The map sample `f` followed by the rotation z -> e^{i theta} z."""
+    return ms.MapSample(np.exp(1j * theta) * f.values, f.degree)
 
 
 @pytest.fixture(scope="session")

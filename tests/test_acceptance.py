@@ -18,7 +18,7 @@ from conftest import J0_ZERO, J1P_ZERO, grid_search_balance
 
 FOUR_PI_3 = 4 * np.pi / 3
 FINE_RINGS = 64          # 12481 vertices
-BUDGET_RINGS = 24        # budgeted runs pair this with rings = 12
+BUDGET_RINGS = [12, 24]  # budgeted runs: the finer level, with its budget
 N_RANDOM_DISCS = 20
 
 
@@ -68,10 +68,10 @@ def _fixture_factories():
 
 @pytest.fixture(scope="module")
 def budget_reports():
-    reports = {}
-    for name, make in _fixture_factories().items():
-        reports[name] = ms.verify_with_budget(make, BUDGET_RINGS)
-    return reports
+    """label -> the budgeted report at the finer of BUDGET_RINGS."""
+    factories = _fixture_factories()
+    reports = ms.verify_levels(factories, BUDGET_RINGS)
+    return {label: reports[f"{label}:1"] for label in factories}
 
 
 # ---------------------------------------------------------------------------

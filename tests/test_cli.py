@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import membrane_spectra as ms
-from membrane_spectra import fem, fixtures, save_mesh, verify_with_budget
+from membrane_spectra import fem, fixtures, save_mesh
 from membrane_spectra import verify as verify_module
 from membrane_spectra.cli import main
 
@@ -242,17 +242,72 @@ def test_batch_slack_table(tmp_path, runner):
             assert slack2 >= -float(eps)
 
 
-def test_batch_budget_matches_verify_with_budget(tmp_path, runner):
-    out = tmp_path / "reports.json"
-    result = runner.invoke(main, ["batch", "--refine-levels", "2",
-                                  "--base-resolution", "6",
-                                  "--csv", str(tmp_path / "slack.csv"),
-                                  "--out", str(out)])
+def test_batch_out_is_verify_levels_over_the_battery(tmp_path, runner):
+    out, csv_file = tmp_path / "reports.json", tmp_path / "slack.csv"
+    result = runner.invoke(main, ["batch", "--refine-levels", "3",
+                                  "--base-resolution", "4",
+                                  "--csv", str(csv_file), "--out", str(out)])
     assert result.exit_code == 0, result.output
-    fine = json.loads(out.read_text())["cap-pi3:1"]
-    rep = verify_with_budget(partial(fixtures.instance, "cap-pi3"), 12)
-    assert fine["eps_fem"] == rep.eps_fem
-    assert fine == rep.to_json_dict()
+    reports = ms.verify_levels({name: partial(fixtures.instance, name)
+                                for name in fixtures.BATTERY}, [4, 8, 16])
+    docs = json.loads(out.read_text())
+    assert sorted(docs) == sorted(reports)
+    for key, report in reports.items():
+        assert docs[key] == json.loads(ms.mesh.dumps(report.to_json_dict()))
+    assert csv_file.read_text() == verify_module.reports_to_csv(reports)
+
+
+def _disc_file(tmp_path):
+    mesh_file = tmp_path / "disc.json"
+    save_mesh(mesh_file, *fixtures.build("disc", 4))
+    return mesh_file
+
+
+# each output option, and the file that the same command writes with the
+# option given a file path instead of '-'
+@pytest.mark.parametrize("command", [
+    "gen --out", "spectrum --out", "verify --out", "verify --csv",
+    "batch --csv", "batch --out"])
+def test_dash_is_standard_output_for_every_output_option(tmp_path, runner,
+                                                         monkeypatch, command):
+    name, option = command.split()
+    mesh_file = _disc_file(tmp_path)
+    args = {"gen": ["gen", "--shape", "disc", "--resolution", "4"],
+            "spectrum": ["spectrum", str(mesh_file)],
+            "verify": ["verify", str(mesh_file), "--map", "id"],
+            "batch": ["batch", "--base-resolution", "4",
+                      "--refine-levels", "1"]}[name]
+    other = {"verify --out": [], "verify --csv": ["--out", os.devnull],
+             "batch --csv": ["--out", os.devnull],
+             "batch --out": ["--csv", os.devnull]}.get(command, [])
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, args + other + [option, "-"])
+    assert result.exit_code == 0, result.output
+    assert not os.path.exists("-")
+    ref = tmp_path / "ref"
+    runner.invoke(main, args + other + [option, str(ref)])
+    assert result.stdout == ref.read_text()
+
+
+@pytest.mark.parametrize("args", [
+    ["batch", "--base-resolution", "4", "--csv", "-", "--out", "-"],
+    ["verify", "DISC", "--csv", "-"],
+    ["verify", "DISC", "--out", "-", "--csv", "-"]],
+    ids=["batch", "verify-default-out", "verify"])
+def test_two_outputs_to_standard_output_exit_2_before_any_work(
+        tmp_path, runner, cpus, monkeypatch, args):
+    mesh_file = _disc_file(tmp_path)
+    monkeypatch.setattr(verify_module, "verify_inequality", None)
+    forks = cpus(2)
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, [str(mesh_file) if a == "DISC" else a
+                                  for a in args])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "both write to standard output" in json.loads(
+        result.stderr)["error"]
+    assert forks == []
+    assert os.listdir(tmp_path) == ["disc.json"]
 
 
 def test_batch_takes_each_fixtures_exact_degree(tmp_path, runner):

@@ -380,6 +380,37 @@ class TestValidation:
         with pytest.raises(MeshError, match="expected 3 edge lengths"):
             ms.SurfaceMesh([[0, 1, 2]], edge_lengths=[1.0, 1.0])
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"edge_lengths": {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0}},
+         r"edge lengths must be an \(E,\) array aligned to edges or "
+         r"\(R, 3\) rows \[i, j, length\]"),
+        ({"edge_lengths": [[0, 1, 1.0], [0, 2], [1, 2, 1.0]]},
+         r"edge lengths must be an \(E,\) array"),
+        ({"edge_lengths": ["one", "one", "one"]},
+         r"edge lengths must be an \(E,\) array"),
+        ({"positions": {0: [0, 0, 0], 1: [1, 0, 0], 2: [0, 1, 0]}},
+         r"positions must be a \(V, 3\) array of numbers"),
+        ({"positions": [[0, 0, 0], [1, 0], [0, 1, 0]]},
+         r"positions must be a \(V, 3\) array of numbers"),
+        ({"positions": [[0, 0], [1, 0], [0, 1]]},
+         r"positions must be a \(V, 3\) array of numbers")],
+        ids=["lengths-mapping", "lengths-ragged", "lengths-strings",
+             "positions-mapping", "positions-ragged", "positions-2d"])
+    def test_non_numeric_metric_is_a_mesh_error(self, kwargs, message):
+        with pytest.raises(MeshError, match=message):
+            ms.SurfaceMesh([[0, 1, 2]], **kwargs)
+
+    def test_metric_arrays_are_copied(self):
+        pos = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float,
+                       order="F")
+        lens = np.array([3.0, 4.0, 5.0])
+        m = ms.SurfaceMesh([[0, 1, 2]], positions=pos)
+        n = ms.SurfaceMesh([[0, 1, 2]], edge_lengths=lens)
+        assert pos.flags.writeable and lens.flags.writeable
+        assert m.positions.flags.c_contiguous and not m.positions.flags.writeable
+        assert np.array_equal(m.positions, pos)
+        assert np.array_equal(n.lengths, lens)
+
     @pytest.mark.parametrize("triangles, row", [
         ([[0, 1, 2.7]], "triangle 0 has a non-integer vertex index: "
                         r"\[0.0, 1.0, 2.7\]"),

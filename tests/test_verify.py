@@ -1,3 +1,6 @@
+import csv
+import io
+import re
 from functools import partial
 
 import numpy as np
@@ -158,7 +161,8 @@ class TestVerifyInequality:
             assert rep.slack2 == pytest.approx(base.slack2, rel=1e-9)
 
     def test_report_json(self):
-        rep = ms.verify_with_budget(partial(fixtures.instance, "disc"), 8)
+        rep = ms.verify_levels({"disc": partial(fixtures.instance, "disc")},
+                               [4, 8])["disc:1"]
         doc = rep.to_json_dict()
         assert set(doc) == {
             "mesh_resolution", "area", "degree", "lambda1", "mu1", "mu2",
@@ -267,7 +271,7 @@ class TestRichardsonBudget:
             m = ms.generate_disc(res)
             return m, identity_map_from_positions(m)
 
-        rep = ms.verify_with_budget(make, 16)
+        rep = ms.verify_levels({"disc": make}, [8, 16])["disc:1"]
         eps = rep.eps_fem
         assert set(eps) >= {"slack2", "slack3", "upper", "lower"}
         assert rep.slack2 >= -eps["slack2"]
@@ -281,21 +285,37 @@ class TestRichardsonBudget:
             m = ms.generate_spherical_cap(np.pi / 3, res)
             return m, disc_map_from_positions(m)
 
-        rep = ms.verify_with_budget(make, 8)
-        text = reports_to_csv([rep.csv_row(fixture="cap-pi3", level=0)])
+        reports = ms.verify_levels({"cap-pi3": make}, [4, 8])
+        text = reports_to_csv(reports)
         lines = text.strip().split("\n")
-        assert len(lines) == 2
+        assert len(lines) == 3
         assert lines[0] == (
             "fixture,level,mesh_resolution,area,degree,lambda1,mu1,mu2,"
             "lhs2,rhs2,slack2,lhs3,rhs3,slack3,trial_sum,"
             "balance_residual,balance_iterations,"
             "eps_slack2,eps_slack3,eps_upper,eps_lower")
-        assert lines[1].startswith("cap-pi3,0,")
+        assert lines[1].startswith("cap-pi3,0,V")
+        assert lines[1].endswith(",,,,")        # the coarsest has no budget
+        assert lines[2].startswith("cap-pi3,1,V")
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert float(rows[1]["eps_slack2"]) == reports["cap-pi3:1"].eps_fem[
+            "slack2"]
 
-    def test_rejects_resolution_without_coarser_level(self):
-        with pytest.raises(ValueError,
-                           match="fine level 1 has coarse level 0"):
-            ms.verify_with_budget(partial(fixtures.instance, "disc"), 1)
+    def test_csv_reads_fixture_and_level_from_each_key(self):
+        rep = ms.verify_inequality(*fixtures.instance("disc", 4))
+        text = reports_to_csv({"a:b.json:0": rep, "disc:2": rep})
+        assert [line.split(",")[:2] for line in text.split("\n")[1:3]] == [
+            ["a:b.json", "0"], ["disc", "2"]]
+
+    def test_rejects_resolution_without_coarser_level(self, cpus):
+        forks = cpus(2)
+        disc = {"disc": partial(fixtures.instance, "disc")}
+        for resolutions in ([], [0, 4], [-2, 4], [4, 4], [8, 4], [2, 8, 4]):
+            with pytest.raises(ValueError, match=re.escape(
+                    "resolutions must be an increasing list of positive "
+                    f"integers, got {resolutions}")):
+                ms.verify_levels(disc, resolutions)
+        assert forks == []
 
     def test_rejects_equal_levels(self):
         rep = ms.verify_inequality(*fixtures.instance("disc", 8))
@@ -303,6 +323,74 @@ class TestRichardsonBudget:
                 f"fine level {rep.mesh_resolution} equals coarse level "
                 f"{rep.mesh_resolution}")):
             richardson_budget(rep, rep)
+
+
+class TestVerifyLevels:
+    @staticmethod
+    def _battery(names=("disc", "branched")):
+        return {name: partial(fixtures.instance, name) for name in names}
+
+    def test_keys_budgets_and_reports(self):
+        reports = ms.verify_levels(self._battery(), (4, 8, 16))
+        assert list(reports) == ["disc:0", "disc:1", "disc:2",
+                                 "branched:0", "branched:1", "branched:2"]
+        for name in ("disc", "branched"):
+            for level, rings in enumerate((4, 8, 16)):
+                rep = reports[f"{name}:{level}"]
+                m, f = fixtures.instance(name, rings)
+                alone = ms.verify_inequality(m, f, degree=f.degree)
+                if level:
+                    coarse = reports[f"{name}:{level - 1}"]
+                    assert rep.eps_fem == richardson_budget(rep, coarse)
+                    assert rep.eps_fem["coarse_resolution"] == \
+                        coarse.mesh_resolution
+                    alone.eps_fem = rep.eps_fem
+                else:
+                    assert rep.eps_fem is None
+                assert rep.to_json_dict() == alone.to_json_dict()
+
+    def test_one_level_carries_no_budget(self):
+        reports = ms.verify_levels(self._battery(), [6])
+        assert list(reports) == ["disc:0", "branched:0"]
+        assert all(rep.eps_fem is None for rep in reports.values())
+
+    @pytest.mark.parametrize("resolutions", [[2, 4], [4, 8]])
+    def test_branched_takes_the_maps_exact_degree(self, resolutions):
+        # at these rings the Jacobian estimate of the degree is not near 2
+        m, f = fixtures.instance("branched", resolutions[0])
+        with pytest.raises(ValueError, match="not close to an integer"):
+            ms.compute_degree(m, f)
+        reports = ms.verify_levels(self._battery(["branched"]), resolutions)
+        assert [rep.degree for rep in reports.values()] == [2, 2]
+        assert reports["branched:1"].budgeted_slack2() >= 0
+
+    def test_worker_processes_match_one_process(self, cpus):
+        forks = cpus(1)
+        serial = ms.verify_levels(self._battery(), [6, 12])
+        assert forks == []
+        cpus(2)
+        forked = ms.verify_levels(self._battery(), [6, 12])
+        assert len(forks) == 2
+        assert list(forked) == list(serial)
+        assert ([ms.mesh.dumps(r.to_json_dict()) for r in forked.values()]
+                == [ms.mesh.dumps(r.to_json_dict()) for r in serial.values()])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_first_failure_in_finest_first_order(self, cpus, n):
+        def failing(name):
+            def make(rings):
+                # the disc fails at the coarse level, the branched disc at
+                # the fine one, which goes to forked_map first
+                if (name, rings) in (("disc", 6), ("branched", 12)):
+                    raise ms.EigenSolveError(f"injected on {name} at {rings}")
+                return fixtures.instance(name, rings)
+            return make
+
+        cpus(n)
+        with pytest.raises(ms.EigenSolveError,
+                           match="^injected on branched at 12$"):
+            ms.verify_levels({name: failing(name)
+                              for name in ("disc", "branched")}, [6, 12])
 
 
 @pytest.mark.parametrize("rings", [12, 24])
