@@ -45,7 +45,7 @@ def main():
 
 @main.command()
 @click.option("--shape", required=True, type=click.Choice(fixtures.SHAPES))
-@click.option("--resolution", type=int, required=True)
+@click.option("--resolution", type=click.IntRange(min=1), required=True)
 @click.option("--colatitude", type=float, default=np.pi / 2,
               help="cap polar angle in radians")
 @click.option("--inner-radius", type=float, default=0.5)
@@ -99,25 +99,16 @@ def _resolve_map(m, stored, map_kind):
               type=click.Choice(["file", "id", "stereo"]),
               help="map source: samples stored in the file, the identity "
                    "on embedded vertices, or stereographic projection")
-@click.option("--degree", default="auto",
-              help="'auto' (Jacobian integral) or an explicit integer")
 @click.option("--out", type=click.Path(), default="-")
 @click.option("--csv", "csv_path", type=click.Path(), default=None,
               help="append a CSV row to this file, or '-' for stdout")
-def verify_cmd(mesh_file, map_kind, degree, out, csv_path):
+def verify_cmd(mesh_file, map_kind, out, csv_path):
     """Verify both eigenvalue inequalities on a mesh-plus-map instance."""
     _one_stdout(out=out, csv=csv_path)
-    deg = degree
-    if degree != "auto":
-        try:
-            deg = meshmod.positive_degree(int(degree))
-        except ValueError:
-            _fail("--degree must be 'auto' or a positive integer, "
-                  f"got {degree!r}", code=2)
     try:
         m, stored = meshmod.load_mesh(mesh_file)
         f = _resolve_map(m, stored, map_kind)
-        report = verifymod.verify_inequality(m, f, degree=deg)
+        report = verifymod.verify_inequality(m, f)
         _dump(out, report.to_json_dict())
         if csv_path:
             name = os.path.basename(mesh_file)

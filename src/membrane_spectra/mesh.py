@@ -66,8 +66,8 @@ class MapSample:
         Finite complex array of shape (V,); |values| <= 1 up to rounding, with
         boundary vertices on the unit circle.
     degree : int
-        Covering degree of the map (1 for injective maps), checked by
-        `positive_degree`.
+        Stated covering degree (1 for injective maps), checked by
+        `positive_degree` and, in a verdict, against `compute_degree`.
     """
 
     values: np.ndarray
@@ -207,10 +207,10 @@ class Triangulation:
     """The topology of a mesh: read-only (F, 3) vertex-index triples with
     globally consistent orientation on `vertex_count` vertices (by default
     one more than the largest index), their edges and the edge opposite
-    each corner, checked once, here.  The boundary, the interior and the
-    CSR patterns are built on first use and kept; a race between threads
-    builds one twice, which is harmless.  Meshes with different metrics on
-    the same triangles share one triangulation.
+    each corner, checked once, here.  The boundary, its loops, the
+    interior and the CSR patterns are built on first use and kept; a race
+    between threads builds one twice, which is harmless.  Meshes with
+    different metrics on the same triangles share one triangulation.
     """
 
     def __init__(self, triangles, vertex_count=None):
@@ -236,7 +236,8 @@ class Triangulation:
         # corner_edges[f, c] is the edge opposite corner c of triangle f
         self.edges, self.corner_edges = _edge_structure(tri, n)
         self.edge_count = self.edges.shape[0]
-        self._boundary_data = self._csr = self._interior_csr = None
+        self._boundary_data = self._loop_data = None
+        self._csr = self._interior_csr = None
         self._validate()
         _read_only(self.triangles, self.edges, self.corner_edges)
 
@@ -322,41 +323,40 @@ class Triangulation:
     def interior_vertex_indices(self) -> np.ndarray:
         return self._boundary()[2]
 
-    def boundary_loops(self) -> list[list[int]]:
-        """Boundary components as oriented vertex cycles.
+    def boundary_loop_indices(self) -> tuple:
+        """Boundary components as read-only arrays of vertex cycles,
+        oriented with the surface on the left, each from its smallest
+        vertex; walked on first use and kept.  Raises on closed meshes."""
+        if self._loop_data is None:
+            bedge_mask = self._boundary()[0]
+            if not bedge_mask.any():
+                raise MeshError("mesh is closed: no boundary contours")
+            # the directed boundary edges, as their triangles orient them:
+            # the edge opposite corner c runs from corner c + 1 to c + 2
+            face, c = np.divmod(
+                np.flatnonzero(bedge_mask[self.corner_edges.ravel()]), 3)
+            u = self.triangles[face, (c + 1) % 3]
+            v = self.triangles[face, (c + 2) % 3]
+            nxt = dict(zip(u.tolist(), v.tolist()))
+            if len(nxt) < u.size:       # a vertex starts two boundary edges
+                raise MeshError("non-manifold boundary at vertex "
+                                f"{np.flatnonzero(np.bincount(u) > 1)[0]}")
+            loops = []
+            while nxt:
+                loop = [min(nxt)]
+                while (w := nxt.pop(loop[-1])) != loop[0]:
+                    loop.append(w)
+                loops.append(np.array(loop, dtype=np.int64))
+            self._loop_data = _read_only(*loops)
+        return self._loop_data
 
-        The cycles follow the direction induced by the triangle
-        orientation (surface on the left).  Raises on closed meshes.
-        """
-        bedge_mask = self._boundary()[0]
-        if not bedge_mask.any():
-            raise MeshError("mesh is closed: no boundary contours")
-        # the directed boundary edges, as their triangles orient them, in
-        # triangle-then-corner order
-        he = self.triangles[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2)
-        u, v = he[bedge_mask[self.corner_edges.ravel()]].T
-        order = np.argsort(u, kind="stable")
-        repeat = order[1:][u[order][1:] == u[order][:-1]]
-        if repeat.size:
-            raise MeshError(f"non-manifold boundary at vertex {u[repeat.min()]}")
-        nxt = dict(zip(u.tolist(), v.tolist()))
-        loops = []
-        seen = set()
-        for start in sorted(nxt):
-            if start in seen:
-                continue
-            loop = [start]
-            w = nxt[start]
-            while w != start:
-                loop.append(w)
-                w = nxt[w]
-            seen.update(loop)
-            loops.append(loop)
-        return loops
+    def boundary_loops(self) -> list[list[int]]:
+        """`boundary_loop_indices()` as new lists of vertex indices."""
+        return [loop.tolist() for loop in self.boundary_loop_indices()]
 
     def topology(self) -> Topology:
         chi = self.vertex_count - self.edge_count + self.triangles.shape[0]
-        r = len(self.boundary_loops())
+        r = len(self.boundary_loop_indices())
         two_p = 2 - chi - r
         if two_p < 0 or two_p % 2 != 0:
             raise MeshError(
@@ -605,7 +605,7 @@ def mesh_to_json_dict(mesh: SurfaceMesh, map_sample: MapSample | None = None) ->
 
 def mesh_from_json_dict(doc: dict) -> tuple[SurfaceMesh, MapSample | None]:
     """Inverse of `mesh_to_json_dict`; `edge_lengths` rows may come in any
-    order and orientation."""
+    order and orientation, and a map with no `degree` states degree 1."""
     if not isinstance(doc, dict):
         raise MeshError("mesh JSON must be an object")
     if "triangles" not in doc:

@@ -4,7 +4,8 @@ Trial functions on the hemisphere (the ambient coordinates x1, x2, x3)
 are pulled back to the surface through a proper map to the disc: compose
 with a Mobius automorphism, lift through inverse stereographic
 projection, and sample per vertex.  Dirichlet energies of the pullbacks
-are conformally invariant, so they accumulate the map's covering degree.
+are conformally invariant, so they accumulate the map's covering degree,
+which is the winding number of the map along the boundary.
 """
 
 from __future__ import annotations
@@ -90,24 +91,31 @@ def dirichlet_energy(mesh: SurfaceMesh, u: np.ndarray) -> float:
 
 
 def compute_degree(mesh: SurfaceMesh, f: MapSample) -> int:
-    """Covering degree of a proper map to the disc.
+    """Covering degree of a proper map to the disc: the winding number of
+    f along the boundary, which by the argument principle is exact.
 
-    Estimates (1/pi) * integral of the Jacobian by summing the signed
-    areas of the piecewise-linear image triangles, then rounds; fails if
-    the estimate is farther than 0.05 from an integer or the map is not
-    proper (`MapSample.check_proper`).
+    Sums angle(f[v_{k+1}] / f[v_k]) over the steps of every boundary loop
+    (surface on the left) and divides by 2 pi.  Raises ValueError when
+    the map is not proper (`MapSample.check_proper`), when a step turns by
+    pi/2 or more (the map is under-resolved there) and when the degree is
+    below 1 (the map reverses orientation).
     """
     f.check_proper(mesh)
-    tri = f.values[mesh.triangles]
-    signed = 0.5 * ((tri[:, 1] - tri[:, 0]).conj() * (tri[:, 2] - tri[:, 0])).imag
-    estimate = float(signed.sum()) / np.pi
-    degree = int(round(estimate))
-    if abs(estimate - degree) >= 0.05:
-        raise ValueError(
-            f"degree estimate {estimate:.4f} is not close to an integer; "
-            "refine the mesh or pass the degree explicitly")
+    winding = 0.0
+    for loop in mesh.boundary_loop_indices():
+        w = f.values[loop]
+        turn = np.angle(np.roll(w, -1) / w)
+        k = int(np.argmax(np.abs(turn)))
+        if abs(turn[k]) >= np.pi / 2:
+            raise ValueError(
+                f"map is under-resolved on the boundary: the step from "
+                f"vertex {loop[k]} to vertex {loop[(k + 1) % loop.size]} "
+                f"turns by {turn[k]:.4f} rad, not less than pi/2")
+        winding += float(turn.sum())
+    degree = round(winding / (2.0 * np.pi))
     if degree < 1:
-        raise ValueError(f"computed degree {degree} is not positive")
+        raise ValueError(f"computed degree {degree} is not positive: "
+                         "the map reverses orientation")
     return degree
 
 

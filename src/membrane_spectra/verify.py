@@ -22,7 +22,7 @@ import numpy as np
 
 from . import fem
 from .balance import BalanceResult, balance_center_of_mass, center_of_gravity
-from .mesh import MapSample, SurfaceMesh, positive_degree
+from .mesh import MapSample, SurfaceMesh
 from .transplant import compute_degree, transplant_coords
 
 FOUR_PI_3 = 4.0 * np.pi / 3.0
@@ -162,25 +162,22 @@ def check_eq3_implication(report: VerificationReport) -> None:
             f"slack3={report.slack3:.6g} below the implied bound {bound:.6g}")
 
 
-def verify_inequality(mesh: SurfaceMesh, f: MapSample,
-                      degree: int | str = "auto") -> VerificationReport:
+def verify_inequality(mesh: SurfaceMesh, f: MapSample) -> VerificationReport:
     """Run the full pipeline and fill a VerificationReport.
 
-    degree="auto" estimates the covering degree from the map's Jacobian
-    integral; pass an integer to override for coarsely sampled maps (see
-    `mesh.positive_degree`: a float or bool raises, it is not truncated).
-    Either way the map must be proper (`MapSample.check_proper`).
+    The report's degree d is the map's boundary winding number
+    (`compute_degree`, which also checks that the map is proper), and the
+    map's stated `f.degree` must equal it.
 
     On a mesh of at least `SPLIT_MIN_VERTICES` vertices the Dirichlet
     solve and the later stages go to `fem.forked_map`, which may run the
     Dirichlet solve in a forked process, with the same report either way.
     """
     area = mesh.total_area()
-    if degree == "auto":
-        d = compute_degree(mesh, f)
-    else:
-        d = positive_degree(degree)
-        f.check_proper(mesh)
+    d = compute_degree(mesh, f)
+    if f.degree != d:
+        raise ValueError(f"map states degree {f.degree}, but its boundary "
+                         f"winding number is {d}")
 
     if mesh.vertex_count >= SPLIT_MIN_VERTICES:
         dirichlet, (neumann, bal, trial) = fem.forked_map(
@@ -234,9 +231,10 @@ def verify_levels(instances: dict, resolutions) -> dict:
     """`{"<label>:<level>": report}` of `instances[label](resolution)`, a
     (mesh, map) pair, at every level of the increasing `resolutions`, in
     label-then-level order; a level after the first carries in eps_fem its
-    Richardson budget against the level before.  Each verdict takes its
-    map's exact degree and goes to `fem.forked_map` finest level first, so
-    that no long verdict starts last; the first failure there is raised."""
+    Richardson budget against the level before.  Each verdict takes the
+    degree its map winds (`verify_inequality`) and goes to
+    `fem.forked_map` finest level first, so that no long verdict starts
+    last; the first failure there is raised."""
     resolutions = list(resolutions)
     if sorted(set(resolutions)) != resolutions or min(resolutions or [0]) < 1:
         raise ValueError(f"resolutions must be an increasing list of "
@@ -245,7 +243,7 @@ def verify_levels(instances: dict, resolutions) -> dict:
     def _verdict(label, resolution):
         # named by label and resolution in a dead worker's error
         m, f = instances[label](resolution)
-        return verify_inequality(m, f, degree=f.degree)
+        return verify_inequality(m, f)
 
     levels = range(len(resolutions))
     jobs = [(label, level) for level in reversed(levels) for label in instances]

@@ -121,7 +121,7 @@ def test_verify_disc_slack(tmp_path, runner):
     out = tmp_path / "report.json"
     csv_file = tmp_path / "rows.csv"
     result = runner.invoke(main, ["verify", str(mesh_file), "--map", "id",
-                                  "--degree", "auto", "--out", str(out),
+                                  "--out", str(out),
                                   "--csv", str(csv_file)])
     assert result.exit_code == 0, result.output
     doc = json.loads(out.read_text())
@@ -183,26 +183,41 @@ def test_verify_short_map_fails_cleanly(tmp_path, runner):
     assert f"map has {vertices - 3} samples for {vertices} vertices" in error
 
 
-@pytest.mark.parametrize("value", ["abc", "1.5", "0"])
-def test_verify_rejects_bad_degree(tmp_path, runner, value):
-    mesh_file = tmp_path / "disc.json"
-    runner.invoke(main, ["gen", "--shape", "disc", "--resolution", "4",
-                         "--out", str(mesh_file)])
-    result = runner.invoke(main, ["verify", str(mesh_file), "--map", "id",
-                                  "--degree", value])
-    assert result.exit_code == 2
-    error = json.loads(result.stderr)["error"]
-    assert "--degree" in error and f"'{value}'" in error
-
-
-def test_verify_explicit_degree(tmp_path, runner):
+def test_verify_coarse_branched_disc_takes_its_winding_number(tmp_path,
+                                                              runner):
     mesh_file = tmp_path / "branched.json"
     runner.invoke(main, ["gen", "--shape", "branched-disc",
-                         "--resolution", "6", "--out", str(mesh_file)])
-    result = runner.invoke(main, ["verify", str(mesh_file), "--degree", "2"])
+                         "--resolution", "2", "--out", str(mesh_file)])
+    result = runner.invoke(main, ["verify", str(mesh_file)])
     assert result.exit_code == 0, result.output
-    assert json.loads(result.output) == ms.verify_inequality(
-        *ms.load_mesh(mesh_file), degree=2).to_json_dict()
+    doc = json.loads(result.output)
+    assert doc["degree"] == 2
+    assert doc == ms.verify_inequality(*ms.load_mesh(mesh_file)).to_json_dict()
+
+
+def test_verify_checks_the_files_stated_degree(tmp_path, runner):
+    # a file with no "degree" states degree 1, which a map winding twice
+    # contradicts
+    mesh_file = tmp_path / "branched.json"
+    runner.invoke(main, ["gen", "--shape", "branched-disc",
+                         "--resolution", "4", "--out", str(mesh_file)])
+    doc = json.loads(mesh_file.read_text())
+    del doc["degree"]
+    mesh_file.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["verify", str(mesh_file)])
+    assert result.exit_code == 1
+    assert json.loads(result.stderr)["error"] == (
+        "map states degree 1, but its boundary winding number is 2")
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_gen_rejects_a_resolution_below_one_as_a_bad_flag(tmp_path, runner,
+                                                          value):
+    result = runner.invoke(main, ["gen", "--shape", "disc", "--resolution",
+                                  value, "--out", str(tmp_path / "m.json")])
+    assert result.exit_code == 2
+    assert "--resolution" in result.stderr
+    assert os.listdir(tmp_path) == []
 
 
 def test_verify_closed_mesh_fails_cleanly(tmp_path, runner):

@@ -238,6 +238,17 @@ class TestBoundaryLoops:
                   ms.generate_branched_double_disc(7)[0]):
             assert m.boundary_loops() == _walk_boundary_loops(m)
 
+    def test_loop_indices_are_walked_once_and_read_only(self):
+        annulus = ms.generate_annulus(0.4, 5)
+        loops = annulus.boundary_loop_indices()
+        # kept on the triangulation, which a rescaled mesh shares
+        assert annulus.scaled(2.0).boundary_loop_indices() is loops
+        assert all(loop.dtype == np.int64 and not loop.flags.writeable
+                   for loop in loops)
+        lists = annulus.boundary_loops()
+        lists[0].clear()        # a caller's list is its own
+        assert annulus.boundary_loops() == [loop.tolist() for loop in loops]
+
     def test_pinched_boundary_rejected(self, unvalidated):
         # two triangles sharing only vertex 0
         pos = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,11 +169,27 @@ class TestComputeDegree:
                 m, ms.MapSample(m.positions[:, 0] + 1j * m.positions[:, 1], 1))
 
     def test_rejects_non_integral_estimate(self, disc16):
-        # boundary on the unit circle but winding 1.5 times
+        # boundary on the unit circle but turning 1.5 times, so one
+        # boundary step jumps by about pi: the map is under-resolved there
         z = identity_map_from_positions(disc16).values
         vals = np.abs(z) * np.exp(1.5j * np.angle(z))
-        with pytest.raises(ValueError, match="integer"):
+        with pytest.raises(ValueError, match="under-resolved") as err:
             ms.compute_degree(disc16, ms.MapSample(vals, 1))
+        u, v, turn = re.search(r"from vertex (\d+) to vertex (\d+) turns "
+                               r"by (\S+) rad", str(err.value)).groups()
+        (loop,) = disc16.boundary_loops()
+        k = loop.index(int(u))
+        assert loop[(k + 1) % len(loop)] == int(v)
+        step = np.angle(vals[int(v)] / vals[int(u)])
+        assert abs(step) >= np.pi / 2
+        assert float(turn) == pytest.approx(step, abs=1e-4)
+
+    @pytest.mark.parametrize("turns", [2, 3])
+    def test_degree_is_the_boundary_winding_number(self, disc16, turns):
+        # |z| e^{i turns arg z} winds `turns` times along the boundary
+        z = identity_map_from_positions(disc16).values
+        vals = np.abs(z) * np.exp(1j * turns * np.angle(z))
+        assert ms.compute_degree(disc16, ms.MapSample(vals, turns)) == turns
 
 
 class TestDiscMapFromPositions:

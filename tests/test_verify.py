@@ -122,19 +122,25 @@ class TestVerifyInequality:
         assert rep.rhs2 == pytest.approx(3 / (8 * np.pi), rel=1e-14)
         assert rep.slack2 > 0
 
-    def test_degree_override(self, disc16):
-        f = identity_map_from_positions(disc16)
-        rep = ms.verify_inequality(disc16, f, degree=1)
-        assert rep.degree == 1
+    @pytest.mark.parametrize("rings", [2, 3, 4])
+    def test_branched_degree_is_its_winding_number(self, rings):
+        rep = ms.verify_inequality(*fixtures.instance("branched", rings))
+        assert rep.degree == 2
+        assert rep.rhs2 == pytest.approx(3 / (8 * np.pi), rel=1e-14)
 
-    @pytest.mark.parametrize("degree", [1.5, True, 2.7, "2", 0])
-    def test_non_integer_degree_is_rejected(self, disc16, degree):
-        f = identity_map_from_positions(disc16)
-        with pytest.raises(ValueError, match="degree must be a positive integer"):
-            ms.verify_inequality(disc16, f, degree=degree)
+    def test_orientation_reversing_map_is_rejected(self, disc16):
+        z = identity_map_from_positions(disc16).values
+        with pytest.raises(ValueError, match="computed degree -1 is not "
+                           "positive: the map reverses orientation"):
+            ms.verify_inequality(disc16, ms.MapSample(z.conj(), 1))
 
-    @pytest.mark.parametrize("degree", [1, "auto"])
-    def test_improper_map_is_rejected_at_any_degree(self, disc16, degree):
+    def test_stated_degree_must_be_the_winding_number(self, disc16):
+        z = identity_map_from_positions(disc16).values
+        with pytest.raises(ValueError, match="map states degree 2, but its "
+                           "boundary winding number is 1"):
+            ms.verify_inequality(disc16, ms.MapSample(z, 2))
+
+    def test_improper_map_is_rejected(self, disc16):
         # the annulus' inner circle, and a disc shrunk by 0.9, leave the
         # boundary off the unit circle
         annulus = ms.generate_annulus(0.5, 8)
@@ -142,21 +148,19 @@ class TestVerifyInequality:
         for mesh, f in ((annulus, identity_map_from_positions(annulus)),
                         (disc16, ms.MapSample(0.9 * shrunk.values, 1))):
             with pytest.raises(ValueError, match="map is not proper"):
-                ms.verify_inequality(mesh, f, degree=degree)
+                ms.verify_inequality(mesh, f)
 
     def test_closed_mesh_is_rejected(self):
         m = octahedron()
         f = ms.MapSample(m.positions[:, 0] + 1j * m.positions[:, 1], 1)
         with pytest.raises(ValueError, match="mesh has no boundary"):
-            ms.verify_inequality(m, f, degree=1)
-        with pytest.raises(ValueError, match="mesh has no boundary"):
             ms.verify_inequality(m, f)
 
     def test_scale_invariance(self, disc16):
         f = identity_map_from_positions(disc16)
-        base = ms.verify_inequality(disc16, f, degree=1)
+        base = ms.verify_inequality(disc16, f)
         for c in (0.1, 3.0):
-            rep = ms.verify_inequality(disc16.scaled(c), f, degree=1)
+            rep = ms.verify_inequality(disc16.scaled(c), f)
             assert rep.lhs2 == pytest.approx(base.lhs2, rel=1e-9)
             assert rep.slack2 == pytest.approx(base.slack2, rel=1e-9)
 
@@ -338,7 +342,7 @@ class TestVerifyLevels:
             for level, rings in enumerate((4, 8, 16)):
                 rep = reports[f"{name}:{level}"]
                 m, f = fixtures.instance(name, rings)
-                alone = ms.verify_inequality(m, f, degree=f.degree)
+                alone = ms.verify_inequality(m, f)
                 if level:
                     coarse = reports[f"{name}:{level - 1}"]
                     assert rep.eps_fem == richardson_budget(rep, coarse)
@@ -356,10 +360,8 @@ class TestVerifyLevels:
 
     @pytest.mark.parametrize("resolutions", [[2, 4], [4, 8]])
     def test_branched_takes_the_maps_exact_degree(self, resolutions):
-        # at these rings the Jacobian estimate of the degree is not near 2
         m, f = fixtures.instance("branched", resolutions[0])
-        with pytest.raises(ValueError, match="not close to an integer"):
-            ms.compute_degree(m, f)
+        assert ms.compute_degree(m, f) == f.degree == 2
         reports = ms.verify_levels(self._battery(["branched"]), resolutions)
         assert [rep.degree for rep in reports.values()] == [2, 2]
         assert reports["branched:1"].budgeted_slack2() >= 0
