@@ -140,15 +140,18 @@ class TestVerifyInequality:
                            "boundary winding number is 1"):
             ms.verify_inequality(disc16, ms.MapSample(z, 2))
 
-    def test_improper_map_is_rejected(self, disc16):
+    @pytest.mark.parametrize("degree", [1, "auto"])
+    def test_improper_map_is_rejected_at_any_degree(self, disc16, degree):
         # the annulus' inner circle, and a disc shrunk by 0.9, leave the
-        # boundary off the unit circle
+        # boundary off the unit circle; 1 runs the verdict on a map that
+        # states degree 1, "auto" runs the winding-number degree rule alone
         annulus = ms.generate_annulus(0.5, 8)
         shrunk = identity_map_from_positions(disc16)
+        check = ms.verify_inequality if degree == 1 else ms.compute_degree
         for mesh, f in ((annulus, identity_map_from_positions(annulus)),
                         (disc16, ms.MapSample(0.9 * shrunk.values, 1))):
             with pytest.raises(ValueError, match="map is not proper"):
-                ms.verify_inequality(mesh, f)
+                check(mesh, f)
 
     def test_closed_mesh_is_rejected(self):
         m = octahedron()
