@@ -60,7 +60,7 @@ def _jacobian(mesh, f, a, sf, m1):
     q = 1.0 / (1.0 - np.conj(a) * z)
     dw_da, dw_dabar = -q, w * z * q
     X = sf.x1 + 1j * sf.x2
-    boundary = mesh.boundary_vertex_mask()
+    boundary = mesh.boundary_vertex_mask
     J = np.empty((2, 2))
     for col, dw in enumerate((dw_da + dw_dabar, 1j * (dw_da - dw_dabar))):
         dX = (1.0 + sf.x3) * (dw - X * (w.conj() * dw).real)

@@ -46,9 +46,11 @@ def main():
 @main.command()
 @click.option("--shape", required=True, type=click.Choice(fixtures.SHAPES))
 @click.option("--resolution", type=click.IntRange(min=1), required=True)
-@click.option("--colatitude", type=float, default=np.pi / 2,
+@click.option("--colatitude", default=np.pi / 2,
+              type=click.FloatRange(0, np.pi, min_open=True, max_open=True),
               help="cap polar angle in radians")
-@click.option("--inner-radius", type=float, default=0.5)
+@click.option("--inner-radius", default=0.5,
+              type=click.FloatRange(0, 1, min_open=True, max_open=True))
 @click.option("--seed", type=int, default=0, help="conformal-disc RNG seed")
 @click.option("--amplitude", type=float, default=1.0,
               help="bound on the conformal log-factor")

@@ -224,8 +224,8 @@ class SpectralResult:
 def _on_pattern(mesh: SurfaceMesh, diagonal: np.ndarray,
                 off: np.ndarray) -> csr_matrix:
     """The symmetric matrix with `diagonal` and, at both orientations of
-    edge e, `off[e]`, on the mesh's shared CSR pattern."""
-    pattern = mesh.csr_pattern()
+    edge e, `off[e]`, on the mesh's shared `csr_pattern`."""
+    pattern = mesh.csr_pattern
     data = np.empty(pattern.indices.size)
     data[pattern.diagonal] = diagonal
     data[pattern.upper] = off
@@ -337,10 +337,10 @@ def _solve_gevp(K, M, k: int):
 def solve_dirichlet(mesh: SurfaceMesh, k: int) -> SpectralResult:
     """k smallest eigenpairs with u = 0 on the boundary.
 
-    The matrices are restricted to interior vertices; eigenfunctions are
-    re-embedded with exact zeros on boundary vertices.
+    The matrices are gathered onto `mesh.interior_pattern`; eigenfunctions
+    are re-embedded with exact zeros on boundary vertices.
     """
-    interior = mesh.interior_vertex_indices()
+    interior = mesh.interior_vertex_indices
     if interior.size == mesh.vertex_count:
         raise EigenSolveError(
             f"mesh has no boundary vertex among its {mesh.vertex_count} "
@@ -348,7 +348,7 @@ def solve_dirichlet(mesh: SurfaceMesh, k: int) -> SpectralResult:
     if interior.size < k:
         raise EigenSolveError(
             f"only {interior.size} interior dofs, cannot compute {k} eigenpairs")
-    sub = mesh.interior_pattern()
+    sub = mesh.interior_pattern
     Ki, Mi = (csr_matrix((A.data[sub.gather], sub.indices, sub.indptr),
                          shape=(interior.size, interior.size))
               for A in (assemble_stiffness(mesh), assemble_mass(mesh)))

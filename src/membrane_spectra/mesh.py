@@ -83,9 +83,17 @@ class MapSample:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "degree", positive_degree(self.degree))
 
+    def check_count(self, mesh: "SurfaceMesh") -> None:
+        """Raise MeshError unless there is one sample per vertex of `mesh`."""
+        if self.values.size != mesh.vertex_count:
+            raise MeshError(f"map has {self.values.size} samples for "
+                            f"{mesh.vertex_count} vertices")
+
     def check_proper(self, mesh: "SurfaceMesh") -> None:
-        """Raise if boundary vertices sit farther than PROPER_TOL from the
-        unit circle, or if the mesh has none."""
+        """Raise if the samples do not match the vertices (`check_count`),
+        if boundary vertices sit farther than PROPER_TOL from the unit
+        circle, or if the mesh has none."""
+        self.check_count(mesh)
         r = np.abs(self.values[mesh.require_boundary()])
         worst = float(np.max(np.abs(1.0 - r)))
         if not worst <= PROPER_TOL:     # written so that NaN fails it
@@ -207,9 +215,13 @@ class Triangulation:
     """The topology of a mesh: read-only (F, 3) vertex-index triples with
     globally consistent orientation on `vertex_count` vertices (by default
     one more than the largest index), their edges and the edge opposite
-    each corner, checked once, here.  The boundary, its loops, the
-    interior and the CSR patterns are built on first use and kept; a race
-    between threads builds one twice, which is harmless.  Meshes with
+    each corner, checked once, here.  Each derived fact is one read-only
+    attribute: the boundary masks and interior indices are set here, and
+    `boundary_loops`, `topology` and both CSR patterns are cached
+    properties (one that raises keeps nothing).  On Python 3.10 and 3.11
+    their first builds wait on one lock; from 3.12 on, threads may build
+    one twice, which is harmless: the package starts no threads, and
+    `fem.forked_map` forks only when no other thread runs.  Meshes with
     different metrics on the same triangles share one triangulation.
     """
 
@@ -236,10 +248,15 @@ class Triangulation:
         # corner_edges[f, c] is the edge opposite corner c of triangle f
         self.edges, self.corner_edges = _edge_structure(tri, n)
         self.edge_count = self.edges.shape[0]
-        self._boundary_data = self._loop_data = None
-        self._csr = self._interior_csr = None
         self._validate()
-        _read_only(self.triangles, self.edges, self.corner_edges)
+        # every edge is opposite some corner, so the count has E entries
+        self.boundary_edge_mask = np.bincount(self.corner_edges.ravel()) == 1
+        self.boundary_vertex_mask = np.zeros(n, dtype=bool)
+        self.boundary_vertex_mask[self.edges[self.boundary_edge_mask]] = True
+        self.interior_vertex_indices = np.flatnonzero(~self.boundary_vertex_mask)
+        _read_only(self.triangles, self.edges, self.corner_edges,
+                   self.boundary_edge_mask, self.boundary_vertex_mask,
+                   self.interior_vertex_indices)
 
     def _validate(self):
         tri = self.triangles
@@ -273,90 +290,65 @@ class Triangulation:
         if ncomp != 1:
             raise MeshError(f"triangle adjacency graph has {ncomp} components")
 
+    @functools.cached_property
     def csr_pattern(self) -> CsrPattern:
         """The read-only symmetric CSR pattern that the stiffness and mass
-        matrices share, built on first use."""
-        if self._csr is None:
-            self._csr = _csr_pattern(self.edges, self.vertex_count)
-        return self._csr
+        matrices share."""
+        return _csr_pattern(self.edges, self.vertex_count)
 
+    @functools.cached_property
     def interior_pattern(self) -> InteriorPattern:
-        """The read-only `InteriorPattern` of `csr_pattern()`, which the
-        Dirichlet matrices share, built on first use."""
-        if self._interior_csr is None:
-            full = self.csr_pattern()
-            inside = ~self.boundary_vertex_mask()
-            rows = np.repeat(np.arange(self.vertex_count), np.diff(full.indptr))
-            gather = np.flatnonzero(inside[rows] & inside[full.indices])
-            local = np.cumsum(inside) - 1       # index among interior vertices
-            indptr = np.searchsorted(local[rows[gather]], np.arange(local[-1] + 2))
-            self._interior_csr = InteriorPattern(*_read_only(
-                indptr.astype(full.indptr.dtype),
-                local[full.indices[gather]].astype(full.indices.dtype), gather))
-        return self._interior_csr
-
-    def _boundary(self):
-        # boundary edge mask, boundary vertex mask, interior vertex indices
-        if self._boundary_data is None:
-            counts = np.bincount(self.corner_edges.ravel(),
-                                 minlength=self.edge_count)
-            bedge = counts == 1
-            mask = np.zeros(self.vertex_count, dtype=bool)
-            mask[self.edges[bedge].ravel()] = True
-            self._boundary_data = _read_only(bedge, mask, np.flatnonzero(~mask))
-        return self._boundary_data
-
-    def boundary_vertex_mask(self) -> np.ndarray:
-        return self._boundary()[1]
+        """The read-only `InteriorPattern` of `csr_pattern`, which the
+        Dirichlet matrices share."""
+        full = self.csr_pattern
+        inside = ~self.boundary_vertex_mask
+        rows = np.repeat(np.arange(self.vertex_count), np.diff(full.indptr))
+        gather = np.flatnonzero(inside[rows] & inside[full.indices])
+        local = np.cumsum(inside) - 1       # index among interior vertices
+        indptr = np.searchsorted(local[rows[gather]], np.arange(local[-1] + 2))
+        return InteriorPattern(*_read_only(
+            indptr.astype(full.indptr.dtype),
+            local[full.indices[gather]].astype(full.indices.dtype), gather))
 
     def require_boundary(self) -> np.ndarray:
         """The boundary vertex mask; raises ValueError on a closed mesh,
         which carries no proper map to the disc."""
-        mask = self.boundary_vertex_mask()
-        if not mask.any():
+        if not self.boundary_vertex_mask.any():
             raise ValueError(
                 f"mesh has no boundary: none of its {self.vertex_count} "
                 "vertices is a boundary vertex, and a proper map to the disc "
                 "needs boundary vertices on the unit circle")
-        return mask
+        return self.boundary_vertex_mask
 
-    def interior_vertex_indices(self) -> np.ndarray:
-        return self._boundary()[2]
-
-    def boundary_loop_indices(self) -> tuple:
-        """Boundary components as read-only arrays of vertex cycles,
+    @functools.cached_property
+    def boundary_loops(self) -> tuple:
+        """Boundary components as read-only int64 arrays of vertex cycles,
         oriented with the surface on the left, each from its smallest
-        vertex; walked on first use and kept.  Raises on closed meshes."""
-        if self._loop_data is None:
-            bedge_mask = self._boundary()[0]
-            if not bedge_mask.any():
-                raise MeshError("mesh is closed: no boundary contours")
-            # the directed boundary edges, as their triangles orient them:
-            # the edge opposite corner c runs from corner c + 1 to c + 2
-            face, c = np.divmod(
-                np.flatnonzero(bedge_mask[self.corner_edges.ravel()]), 3)
-            u = self.triangles[face, (c + 1) % 3]
-            v = self.triangles[face, (c + 2) % 3]
-            nxt = dict(zip(u.tolist(), v.tolist()))
-            if len(nxt) < u.size:       # a vertex starts two boundary edges
-                raise MeshError("non-manifold boundary at vertex "
-                                f"{np.flatnonzero(np.bincount(u) > 1)[0]}")
-            loops = []
-            while nxt:
-                loop = [min(nxt)]
-                while (w := nxt.pop(loop[-1])) != loop[0]:
-                    loop.append(w)
-                loops.append(np.array(loop, dtype=np.int64))
-            self._loop_data = _read_only(*loops)
-        return self._loop_data
+        vertex.  Raises MeshError on a closed mesh or a pinched boundary."""
+        if not self.boundary_edge_mask.any():
+            raise MeshError("mesh is closed: no boundary contours")
+        # the directed boundary edges, as their triangles orient them:
+        # the edge opposite corner c runs from corner c + 1 to c + 2
+        face, c = np.divmod(np.flatnonzero(
+            self.boundary_edge_mask[self.corner_edges.ravel()]), 3)
+        u = self.triangles[face, (c + 1) % 3]
+        v = self.triangles[face, (c + 2) % 3]
+        nxt = dict(zip(u.tolist(), v.tolist()))
+        if len(nxt) < u.size:       # a vertex starts two boundary edges
+            raise MeshError("non-manifold boundary at vertex "
+                            f"{np.flatnonzero(np.bincount(u) > 1)[0]}")
+        loops = []
+        while nxt:
+            loop = [min(nxt)]
+            while (w := nxt.pop(loop[-1])) != loop[0]:
+                loop.append(w)
+            loops.append(np.array(loop, dtype=np.int64))
+        return _read_only(*loops)
 
-    def boundary_loops(self) -> list[list[int]]:
-        """`boundary_loop_indices()` as new lists of vertex indices."""
-        return [loop.tolist() for loop in self.boundary_loop_indices()]
-
+    @functools.cached_property
     def topology(self) -> Topology:
         chi = self.vertex_count - self.edge_count + self.triangles.shape[0]
-        r = len(self.boundary_loop_indices())
+        r = len(self.boundary_loops)
         two_p = 2 - chi - r
         if two_p < 0 or two_p % 2 != 0:
             raise MeshError(
@@ -369,8 +361,8 @@ class Triangulation:
 class SurfaceMesh:
     """Oriented triangle mesh with an intrinsic metric: a `Triangulation`,
     which other meshes may share, and this mesh's edge lengths.  The
-    triangulation's attributes and methods (`triangles`, `edges`,
-    `boundary_loops()`, `csr_pattern()`, ...) are the mesh's own.
+    triangulation's attributes (`edges`, `boundary_loops`, `csr_pattern`,
+    ...) and `require_boundary()` are the mesh's own.
 
     Parameters
     ----------
@@ -622,10 +614,8 @@ def mesh_from_json_dict(doc: dict) -> tuple[SurfaceMesh, MapSample | None]:
     ms = None
     if "map" in doc:
         vals = _json_array(doc["map"], "map", 2)
-        if vals.shape[0] != mesh.vertex_count:
-            raise MeshError(f"map has {vals.shape[0]} samples for "
-                            f"{mesh.vertex_count} vertices")
         ms = MapSample(vals.view(complex).ravel(), doc.get("degree", 1))
+        ms.check_count(mesh)
     return mesh, ms
 
 

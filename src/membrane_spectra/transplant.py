@@ -66,10 +66,12 @@ def transplant_coords(mesh: SurfaceMesh, f: MapSample, a: complex = 0.0,
 
     Boundary vertices are projected radially onto the unit circle before
     lifting, so x3 vanishes there exactly and x3 is admissible as a
-    discrete Dirichlet trial function.
+    discrete Dirichlet trial function.  Raises MeshError unless f has one
+    sample per vertex.
     """
+    f.check_count(mesh)
     w = mobius(a, f.values)
-    boundary = mesh.boundary_vertex_mask()
+    boundary = mesh.boundary_vertex_mask
     wb = w[boundary]
     rb = np.abs(wb)
     if np.any(rb == 0.0):
@@ -102,7 +104,7 @@ def compute_degree(mesh: SurfaceMesh, f: MapSample) -> int:
     """
     f.check_proper(mesh)
     winding = 0.0
-    for loop in mesh.boundary_loop_indices():
+    for loop in mesh.boundary_loops:
         w = f.values[loop]
         turn = np.angle(np.roll(w, -1) / w)
         k = int(np.argmax(np.abs(turn)))
@@ -140,6 +142,6 @@ def disc_map_from_positions(mesh: SurfaceMesh) -> MapSample:
     if np.any(z3 <= -1.0 + 1e-12):
         raise ValueError("south pole lies on the mesh; projection undefined")
     w = (x + 1j * y) / (1.0 + z3)
-    rb = np.abs(w[mesh.boundary_vertex_mask()])
+    rb = np.abs(w[mesh.boundary_vertex_mask])
     w = w / rb.max()
     return MapSample(w, 1)

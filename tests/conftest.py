@@ -176,3 +176,11 @@ def octahedron():
     tris = [[0, 2, 4], [2, 1, 4], [1, 3, 4], [3, 0, 4],
             [2, 0, 5], [1, 2, 5], [3, 1, 5], [0, 3, 5]]
     return ms.SurfaceMesh(tris, positions=pos)
+
+
+def resized_map(mesh, count):
+    """The identity map of a flat disc mesh cut to, or padded with the
+    point 0.5 to, `count` samples."""
+    z = mesh.positions[:, 0] + 1j * mesh.positions[:, 1]
+    return ms.MapSample(np.r_[z[:count], np.full(max(count - z.size, 0), 0.5)],
+                        1)

@@ -7,7 +7,7 @@ from membrane_spectra.balance import BalanceError
 from membrane_spectra.transplant import (disc_map_from_positions,
                                          identity_map_from_positions)
 
-from conftest import grid_search_balance, octahedron, rotated
+from conftest import grid_search_balance, octahedron, resized_map, rotated
 
 GRID_SPACING = 2 * 0.99 / 100  # 101-point grid over [-0.99, 0.99]
 
@@ -117,3 +117,10 @@ class TestBalance:
         with pytest.raises(ValueError,
                            match="mesh has no boundary: none of its 6 vertices"):
             ms.balance_center_of_mass(m, f)
+
+    @pytest.mark.parametrize("count", [60, 62])
+    def test_sample_count_must_match_vertices(self, count):
+        mesh = ms.generate_disc(4)      # 61 vertices
+        with pytest.raises(ValueError,
+                           match=f"map has {count} samples for 61 vertices"):
+            ms.balance_center_of_mass(mesh, resized_map(mesh, count))

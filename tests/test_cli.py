@@ -29,7 +29,7 @@ def test_gen_disc_topology(tmp_path, runner):
     assert "vertices" in doc and "triangles" in doc and "map" in doc
     import membrane_spectra as ms
     mesh, f = ms.mesh.mesh_from_json_dict(doc)
-    assert mesh.topology() == ms.Topology(0, 1, 1)
+    assert mesh.topology == ms.Topology(0, 1, 1)
     assert f.degree == 1
 
 
@@ -69,8 +69,22 @@ def test_gen_rejects_bad_params(tmp_path, runner):
     result = runner.invoke(main, ["gen", "--shape", "cap", "--resolution",
                                   "4", "--colatitude", "7.0",
                                   "--out", str(tmp_path / "x.json")])
-    assert result.exit_code == 1
-    assert "error" in json.loads(result.output or result.stderr)
+    assert result.exit_code == 2
+    assert "--colatitude" in result.stderr
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("shape, flag, value", [
+    ("annulus", "--inner-radius", "1.5"), ("annulus", "--inner-radius", "0"),
+    ("cap", "--colatitude", "4"), ("cap", "--colatitude", "0")])
+def test_gen_rejects_an_out_of_range_float_as_a_bad_flag(tmp_path, runner,
+                                                         shape, flag, value):
+    result = runner.invoke(main, ["gen", "--shape", shape, "--resolution",
+                                  "4", flag, value,
+                                  "--out", str(tmp_path / "m.json")])
+    assert result.exit_code == 2
+    assert flag in result.stderr
+    assert os.listdir(tmp_path) == []
 
 
 def test_spectrum_neumann_zero_mode_gap(tmp_path, runner):

@@ -125,8 +125,8 @@ class TestPatternAssembly:
 
     def test_pattern_is_canonical_shared_and_read_only(self, bump_disc12):
         mesh, _ = bump_disc12
-        pattern = mesh.csr_pattern()
-        assert mesh.csr_pattern() is pattern
+        pattern = mesh.csr_pattern
+        assert mesh.csr_pattern is pattern
         n, e = mesh.vertex_count, mesh.edge_count
         assert pattern.indptr[-1] == pattern.indices.size == n + 2 * e
         rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
@@ -171,8 +171,8 @@ class TestPatternAssembly:
     def test_interior_pattern_matches_fancy_index(self, name):
         mesh = (_relabelled_intrinsic() if name == "relabelled"
                 else fixtures.instance(name, 12)[0])
-        interior = mesh.interior_vertex_indices()
-        sub = mesh.interior_pattern()
+        interior = mesh.interior_vertex_indices
+        sub = mesh.interior_pattern
         K, M = ms.assemble_stiffness(mesh), ms.assemble_mass(mesh)
         blocks = []
         for A in (K, M):
@@ -275,7 +275,7 @@ class TestSolveDirichlet:
 
     def test_boundary_zeros_and_normalization(self, disc8):
         res = ms.solve_dirichlet(disc8, 2)
-        b = disc8.boundary_vertex_mask()
+        b = disc8.boundary_vertex_mask
         assert np.all(res.eigenfunctions[b] == 0.0)
         M = ms.assemble_mass(disc8)
         for u in res.eigenfunctions.T:
@@ -374,7 +374,7 @@ class TestVariationalProperties:
         M = ms.assemble_mass(disc8)
         lam1 = ms.solve_dirichlet(disc8, 1).eigenvalues[0]
         mu1 = ms.solve_neumann(disc8, 1).eigenvalues[0]
-        b = disc8.boundary_vertex_mask()
+        b = disc8.boundary_vertex_mask
         one = np.ones(disc8.vertex_count)
         m1 = M @ one
         area = m1.sum()
@@ -451,7 +451,7 @@ class TestSolverAgreement:
         # k >= n - 1 is left to the dense solver
         mesh = ms.generate_disc(rings)
         n = (mesh.vertex_count if extra else
-             mesh.interior_vertex_indices().size)
+             mesh.interior_vertex_indices.size)
         assert n > fem.DENSE_CUTOFF
         calls = []
         for name in ("eigh", "eigsh"):
@@ -521,7 +521,7 @@ class TestSolverAgreement:
 
         monkeypatch.setattr(fem, "eigsh", fail)
         solver_path("sparse")
-        n = disc8.interior_vertex_indices().size
+        n = disc8.interior_vertex_indices.size
         with pytest.raises(EigenSolveError,
                            match=rf"n={n} dofs, k=1, sigma=-\S+: "):
             ms.solve_dirichlet(disc8, 1)

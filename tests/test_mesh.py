@@ -38,7 +38,7 @@ class TestGenerateDisc:
 
     @pytest.mark.parametrize("rings", [1, 3, 8])
     def test_topology(self, rings):
-        t = ms.generate_disc(rings).topology()
+        t = ms.generate_disc(rings).topology
         assert t == ms.Topology(genus_p=0, contours_r=1, euler_characteristic=1)
 
     def test_rejects_bad_rings(self):
@@ -57,7 +57,7 @@ class TestGenerateSphericalCap:
         assert cap_area(np.pi / 3) == pytest.approx(np.pi)
 
     def test_topology(self, hemisphere16):
-        assert hemisphere16.topology() == ms.Topology(0, 1, 1)
+        assert hemisphere16.topology == ms.Topology(0, 1, 1)
 
     @pytest.mark.parametrize("bad", [0.0, np.pi, -1.0, 4.0])
     def test_rejects_colatitude(self, bad):
@@ -72,8 +72,8 @@ class TestGenerateAnnulus:
 
     def test_topology_two_contours(self):
         m = ms.generate_annulus(0.5, 4)
-        assert m.topology() == ms.Topology(0, 2, 0)
-        assert len(m.boundary_loops()) == 2
+        assert m.topology == ms.Topology(0, 2, 0)
+        assert len(m.boundary_loops) == 2
 
     def test_second_order_area_convergence(self):
         exact = np.pi * 0.75
@@ -100,7 +100,7 @@ class TestBranchedDoubleDisc:
         assert ms.compute_degree(mesh, f) == 2
 
     def test_topology_still_a_disc(self, branched12):
-        assert branched12[0].topology() == ms.Topology(0, 1, 1)
+        assert branched12[0].topology == ms.Topology(0, 1, 1)
 
     def test_cone_angle_at_origin(self):
         # angles of triangles incident to the center vertex sum to ~4 pi
@@ -236,39 +236,39 @@ class TestBoundaryLoops:
                                     positions=annulus.positions[np.argsort(relabel)])
         for m in (hemisphere16, annulus, shuffled, relabelled,
                   ms.generate_branched_double_disc(7)[0]):
-            assert m.boundary_loops() == _walk_boundary_loops(m)
+            assert ([loop.tolist() for loop in m.boundary_loops]
+                    == _walk_boundary_loops(m))
 
     def test_loop_indices_are_walked_once_and_read_only(self):
         annulus = ms.generate_annulus(0.4, 5)
-        loops = annulus.boundary_loop_indices()
+        loops = annulus.boundary_loops
         # kept on the triangulation, which a rescaled mesh shares
-        assert annulus.scaled(2.0).boundary_loop_indices() is loops
+        assert annulus.scaled(2.0).boundary_loops is loops
         assert all(loop.dtype == np.int64 and not loop.flags.writeable
                    for loop in loops)
-        lists = annulus.boundary_loops()
-        lists[0].clear()        # a caller's list is its own
-        assert annulus.boundary_loops() == [loop.tolist() for loop in loops]
+        with pytest.raises(ValueError, match="read-only"):
+            loops[0][0] = 1     # a caller cannot change the kept loops
 
     def test_pinched_boundary_rejected(self, unvalidated):
         # two triangles sharing only vertex 0
         pos = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]]
         m = ms.SurfaceMesh([[0, 1, 2], [0, 3, 4]], positions=pos)
         with pytest.raises(MeshError, match="non-manifold boundary at vertex 0"):
-            m.boundary_loops()
+            m.boundary_loops
 
     def test_disc_one_loop(self):
-        loops = ms.generate_disc(4).boundary_loops()
+        loops = ms.generate_disc(4).boundary_loops
         assert len(loops) == 1
         assert len(loops[0]) == 24
 
     def test_two_triangle_square(self):
         pos = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
         m = ms.SurfaceMesh([[0, 1, 2], [0, 2, 3]], positions=pos)
-        (loop,) = m.boundary_loops()
+        (loop,) = m.boundary_loops
         assert sorted(loop) == [0, 1, 2, 3]
 
     def test_boundary_edges_partitioned(self, disc8):
-        loops = disc8.boundary_loops()
+        loops = [loop.tolist() for loop in disc8.boundary_loops]
         loop_edges = set()
         for loop in loops:
             for u, v in zip(loop, loop[1:] + loop[:1]):
@@ -284,7 +284,27 @@ class TestBoundaryLoops:
         tris = [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]]
         m = ms.SurfaceMesh(tris, positions=pos)
         with pytest.raises(MeshError, match="closed"):
-            m.boundary_loops()
+            m.boundary_loops
+
+    def test_failed_walk_raises_on_every_access(self, unvalidated):
+        tetrahedron = ms.SurfaceMesh(
+            [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]],
+            positions=[[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+        pinched = ms.SurfaceMesh(
+            [[0, 1, 2], [0, 3, 4]],
+            positions=[[0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]])
+        for m, message in ((tetrahedron, "closed"), (pinched, "non-manifold")):
+            for _ in range(2):
+                with pytest.raises(MeshError, match=message):
+                    m.boundary_loops
+                with pytest.raises(MeshError, match=message):
+                    m.topology
+
+    def test_boundary_edge_mask_marks_edges_of_one_triangle(self, disc8):
+        counts = np.bincount(disc8.corner_edges.ravel(),
+                             minlength=disc8.edge_count)
+        assert np.array_equal(disc8.boundary_edge_mask, counts == 1)
+        assert not disc8.boundary_edge_mask.flags.writeable
 
 
 class TestTotalArea:
@@ -313,7 +333,7 @@ class TestTopologyOp:
         annulus = ms.generate_annulus(0.4, 6)
         branched, _ = ms.generate_branched_double_disc(6)
         for m in (disc8, hemisphere16, annulus, branched):
-            t = m.topology()
+            t = m.topology
             V, E, F = m.vertex_count, m.edge_count, m.triangles.shape[0]
             assert t.euler_characteristic == V - E + F
             assert t.euler_characteristic == 2 - 2 * t.genus_p - t.contours_r
@@ -345,7 +365,7 @@ class TestTopologyOp:
                 lens[(min(u, v), max(u, v))] = np.sqrt(2.0)
         m = ms.SurfaceMesh(np.array(tris),
                            edge_lengths=[[u, v, l] for (u, v), l in lens.items()])
-        t = m.topology()
+        t = m.topology
         assert t == ms.Topology(genus_p=1, contours_r=1,
                                 euler_characteristic=-1)
 
@@ -450,10 +470,10 @@ class TestTriangulation:
         meshes = [fixtures.instance(name, rings)[0] for name in fixtures.BATTERY]
         z, tri = ms.mesh._disc_structure(rings)
         assert all(m.triangulation is tri for m in meshes)
-        assert all(m.csr_pattern() is tri.csr_pattern() for m in meshes)
+        assert all(m.csr_pattern is tri.csr_pattern for m in meshes)
         arrays = [z, tri.triangles, tri.edges, tri.corner_edges,
-                  tri.boundary_vertex_mask(), tri.interior_vertex_indices(),
-                  *tri.csr_pattern(), *tri.interior_pattern()]
+                  tri.boundary_vertex_mask, tri.interior_vertex_indices,
+                  *tri.csr_pattern, *tri.interior_pattern]
         for arr in arrays:
             assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -498,7 +518,7 @@ class TestJsonInterchange:
         m2, f = ms.load_mesh(path)
         assert f is None
         assert m2.total_area() == pytest.approx(disc8.total_area(), rel=1e-15)
-        assert m2.topology() == disc8.topology()
+        assert m2.topology == disc8.topology
 
     def test_roundtrip_intrinsic_with_map(self, tmp_path, branched12):
         mesh, f = branched12
@@ -757,4 +777,4 @@ class TestCodec:
 def test_square_fixture_valid():
     m = square_mesh(4)
     assert m.total_area() == pytest.approx(1.0, rel=1e-14)
-    assert m.topology() == ms.Topology(0, 1, 1)
+    assert m.topology == ms.Topology(0, 1, 1)

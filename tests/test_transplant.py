@@ -9,7 +9,7 @@ import membrane_spectra as ms
 from membrane_spectra.transplant import (disc_map_from_positions,
                                          identity_map_from_positions)
 
-from conftest import octahedron
+from conftest import octahedron, resized_map
 
 FOUR_PI_3 = 4 * np.pi / 3
 
@@ -89,7 +89,7 @@ class TestTransplantCoords:
     def test_boundary_clamped_exactly(self, disc8):
         f = identity_map_from_positions(disc8)
         sf = ms.transplant_coords(disc8, f, 0.2 + 0.1j)
-        b = disc8.boundary_vertex_mask()
+        b = disc8.boundary_vertex_mask
         assert np.all(sf.x3[b] == 0.0)
         assert np.all(sf.x3[~b] > 0.0)
 
@@ -97,6 +97,13 @@ class TestTransplantCoords:
         f = identity_map_from_positions(disc8)
         sf = ms.transplant_coords(disc8, f, 0.0)
         assert sf.x3[0] == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("count", [60, 62])
+    def test_sample_count_must_match_vertices(self, count):
+        mesh = ms.generate_disc(4)      # 61 vertices
+        with pytest.raises(ValueError,
+                           match=f"map has {count} samples for 61 vertices"):
+            ms.transplant_coords(mesh, resized_map(mesh, count))
 
 
 class TestDirichletEnergy:
@@ -177,7 +184,7 @@ class TestComputeDegree:
             ms.compute_degree(disc16, ms.MapSample(vals, 1))
         u, v, turn = re.search(r"from vertex (\d+) to vertex (\d+) turns "
                                r"by (\S+) rad", str(err.value)).groups()
-        (loop,) = disc16.boundary_loops()
+        (loop,) = [loop.tolist() for loop in disc16.boundary_loops]
         k = loop.index(int(u))
         assert loop[(k + 1) % len(loop)] == int(v)
         step = np.angle(vals[int(v)] / vals[int(u)])
@@ -196,7 +203,7 @@ class TestDiscMapFromPositions:
     def test_small_cap_boundary_on_circle(self):
         cap = ms.generate_spherical_cap(np.pi / 6, 12)
         f = disc_map_from_positions(cap)
-        r = np.abs(f.values[cap.boundary_vertex_mask()])
+        r = np.abs(f.values[cap.boundary_vertex_mask])
         assert np.max(np.abs(1.0 - r)) <= 1e-9
         f.check_proper(cap)
         assert ms.compute_degree(cap, f) == 1

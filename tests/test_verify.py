@@ -14,7 +14,7 @@ from membrane_spectra.verify import (FOUR_PI_3, VerificationReport,
                                      check_eq3_implication, reports_to_csv,
                                      richardson_budget)
 
-from conftest import J0_ZERO, J1P_ZERO, octahedron
+from conftest import J0_ZERO, J1P_ZERO, octahedron, resized_map
 
 LAMBDA1_DISC = J0_ZERO ** 2
 MU1_DISC = J1P_ZERO ** 2
@@ -158,6 +158,13 @@ class TestVerifyInequality:
         f = ms.MapSample(m.positions[:, 0] + 1j * m.positions[:, 1], 1)
         with pytest.raises(ValueError, match="mesh has no boundary"):
             ms.verify_inequality(m, f)
+
+    @pytest.mark.parametrize("count", [60, 62])
+    def test_sample_count_must_match_vertices(self, count):
+        mesh = ms.generate_disc(4)      # 61 vertices
+        with pytest.raises(ValueError,
+                           match=f"map has {count} samples for 61 vertices"):
+            ms.verify_inequality(mesh, resized_map(mesh, count))
 
     def test_scale_invariance(self, disc16):
         f = identity_map_from_positions(disc16)
