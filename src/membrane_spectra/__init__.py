@@ -14,7 +14,7 @@ from .transplant import (SphereFunctions, compute_degree,
                          dirichlet_energy, disc_map_from_positions,
                          lift_to_hemisphere, mobius, transplant_coords)
 from .verify import (VerificationReport, check_eq3_implication,
-                     trial_bound_sum, verify_eq3, verify_inequality,
+                     trial_bound_sum, verify_inequality,
                      verify_levels)
 
 __all__ = [
@@ -28,7 +28,7 @@ __all__ = [
     "generate_disc", "generate_spherical_cap",
     "lift_to_hemisphere", "load_mesh", "mobius", "rayleigh_quotient",
     "save_mesh", "solve_dirichlet", "solve_neumann",
-    "transplant_coords", "trial_bound_sum", "verify_eq3",
+    "transplant_coords", "trial_bound_sum",
     "verify_inequality", "verify_levels",
 ]
 

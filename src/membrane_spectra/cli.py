@@ -51,7 +51,8 @@ def main():
               help="cap polar angle in radians")
 @click.option("--inner-radius", default=0.5,
               type=click.FloatRange(0, 1, min_open=True, max_open=True))
-@click.option("--seed", type=int, default=0, help="conformal-disc RNG seed")
+@click.option("--seed", type=click.IntRange(min=0), default=0,
+              help="conformal-disc RNG seed")
 @click.option("--amplitude", type=float, default=1.0,
               help="bound on the conformal log-factor")
 @click.option("--out", type=click.Path(), required=True,
@@ -130,7 +131,8 @@ _batch_instance = fixtures.instance
 
 @main.command()
 @click.option("--refine-levels", type=click.IntRange(min=1), default=2)
-@click.option("--base-resolution", type=click.IntRange(min=1), default=8)
+# the branched fixture needs at least 2 rings
+@click.option("--base-resolution", type=click.IntRange(min=2), default=8)
 @click.option("--csv", "csv_path", type=click.Path(), required=True)
 @click.option("--out", type=click.Path(), default=None,
               help="also write the full reports as JSON, '-' for stdout")

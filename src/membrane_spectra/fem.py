@@ -13,12 +13,12 @@ Lanczos (`eigsh`) on one sparse LU factor of the shifted matrix, which is
 SPD and so factored in SuperLU's symmetric mode without pivoting, in
 minimum-degree order.  The Lanczos basis holds max(2k + 2, 8) vectors (at
 most n), ARPACK stops at `LANCZOS_TOL`, and the start vector is drawn
-from a fixed seed so that repeated solves agree to the last bit.  The
-dense `eigh` runs with every OpenBLAS capped at one thread
-(`single_threaded_blas`): its last digits depend on the BLAS thread count,
-and so would otherwise depend on the host's core count.  Residuals are
-normalized by the eigenvalue, so every check is invariant under rescaling
-the metric, and every pair is still checked against `RESIDUAL_TOL`.
+from a fixed seed so that repeated solves agree to the last bit.  Every
+eigensolve and every `forked_map` call runs with each OpenBLAS capped at
+one thread (`single_threaded_blas`), as their last digits would otherwise
+follow the host's core count.  Residuals are normalized by the
+eigenvalue, so every check is invariant under rescaling the metric, and
+every pair is still checked against `RESIDUAL_TOL`.
 """
 
 from __future__ import annotations
@@ -226,10 +226,7 @@ def _on_pattern(mesh: SurfaceMesh, diagonal: np.ndarray,
     """The symmetric matrix with `diagonal` and, at both orientations of
     edge e, `off[e]`, on the mesh's shared `csr_pattern`."""
     pattern = mesh.csr_pattern
-    data = np.empty(pattern.indices.size)
-    data[pattern.diagonal] = diagonal
-    data[pattern.upper] = off
-    data[pattern.lower] = off
+    data = np.concatenate([diagonal, off, off])[pattern.order]
     n = mesh.vertex_count
     return csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
 
@@ -270,6 +267,7 @@ def _spectral_scale(K, M) -> float:
     return K.diagonal().sum() / M.diagonal().sum()
 
 
+@single_threaded_blas()
 def _solve_gevp(K, M, k: int):
     """k smallest eigenpairs of K u = lam M u (M > 0, one symmetric pattern)."""
     n = K.shape[0]
@@ -280,8 +278,7 @@ def _solve_gevp(K, M, k: int):
     if n <= DENSE_CUTOFF or k >= n - 1:
         # the full spectrum, sliced: a subset solve is less accurate and
         # moves with the number of pairs asked for
-        with single_threaded_blas():
-            vals, vecs = eigh(K.toarray(), M.toarray())
+        vals, vecs = eigh(K.toarray(), M.toarray())
         vals, vecs = vals[:k], vecs[:, :k]
     else:
         # shift slightly below the spectrum; scaled with the metric so the

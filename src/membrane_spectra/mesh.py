@@ -143,14 +143,12 @@ class CsrPattern(NamedTuple):
     """Symmetric CSR pattern of a mesh: the diagonal plus both orientations
     of every edge, in canonical order (sorted, unique columns per row).
 
-    `diagonal[v]`, `upper[e]` and `lower[e]` are the positions in the data
-    array of entry (v, v), of (i, j) and of (j, i) for edge e = (i, j)."""
+    Data entry k is entry `order[k]` of the natural layout: (v, v) per
+    vertex, then (i, j) and then (j, i) per edge (i, j) of `edges`."""
 
     indptr: np.ndarray
     indices: np.ndarray
-    diagonal: np.ndarray
-    upper: np.ndarray
-    lower: np.ndarray
+    order: np.ndarray
 
 
 def _csr_pattern(edges: np.ndarray, n: int) -> CsrPattern:
@@ -160,14 +158,10 @@ def _csr_pattern(edges: np.ndarray, n: int) -> CsrPattern:
     rows = np.concatenate([v, edges[:, 0], edges[:, 1]])
     cols = np.concatenate([v, edges[:, 1], edges[:, 0]])
     order = np.argsort(rows * n + cols)
-    slot = np.empty_like(order)
-    slot[order] = np.arange(order.size)
     index = np.int32 if order.size <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(n + 1, dtype=index)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    e = edges.shape[0]
-    return CsrPattern(*_read_only(indptr, cols[order].astype(index), slot[:n],
-                                  slot[n:n + e], slot[n + e:]))
+    return CsrPattern(*_read_only(indptr, cols[order].astype(index), order))
 
 
 def _match_lengths(edges: np.ndarray, n: int, pairs: np.ndarray,

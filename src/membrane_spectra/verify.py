@@ -46,19 +46,13 @@ CSV_FIELDS = ["fixture", "level", *SCALARS,
 
 @dataclass
 class VerificationReport:
-    """Eigenvalues, inequality sides, and slacks for one instance."""
+    """What one verdict measured, and read-only properties derived from it."""
 
     lambda1: float
     mu1: float
     mu2: float
     area: float
     degree: int
-    lhs2: float
-    rhs2: float
-    slack2: float
-    lhs3: float
-    rhs3: float
-    slack3: float
     trial_sum: float
     mesh_resolution: str
     balance: BalanceResult | None = None
@@ -66,22 +60,50 @@ class VerificationReport:
     neumann_residuals: list = field(default_factory=list)
     eps_fem: dict | None = None       # two-level Richardson budget per margin
 
+    @property
+    def lhs2(self) -> float:
+        return (1.0 / self.lambda1 + 1.0 / self.mu1 + 1.0 / self.mu2) / self.area
+
+    @property
+    def rhs2(self) -> float:
+        return 3.0 / (4.0 * np.pi * self.degree)
+
+    @property
+    def slack2(self) -> float:
+        return self.lhs2 - self.rhs2
+
+    @property
+    def lhs3(self) -> float:
+        return self.lambda1 * self.mu1 * self.area
+
+    @property
+    def rhs3(self) -> float:
+        return self.degree * FOUR_PI_3 * (2.0 * self.lambda1 + self.mu1)
+
+    @property
+    def slack3(self) -> float:
+        return self.rhs3 - self.lhs3
+
     # margins that must be nonnegative up to the discretization budget
+    @property
     def margin_upper(self) -> float:
         """Reciprocal-sum optimum minus the trial sum (Hersch's principle)."""
         return 1.0 / self.lambda1 + 1.0 / self.mu1 + 1.0 / self.mu2 - self.trial_sum
 
+    @property
     def margin_lower(self) -> float:
         """Trial sum minus A / (d * 4 pi / 3) (the proof's energy/mass chain)."""
         return self.trial_sum - self.area / (self.degree * FOUR_PI_3)
 
     def _margins(self) -> tuple:
         """The values of MARGINS, in that order."""
-        return self.slack2, self.slack3, self.margin_upper(), self.margin_lower()
+        return self.slack2, self.slack3, self.margin_upper, self.margin_lower
 
+    @property
     def budgeted_slack2(self) -> float:
         return self.slack2 + (self.eps_fem or {}).get("slack2", 0.0)
 
+    @property
     def budgeted_slack3(self) -> float:
         return self.slack3 + (self.eps_fem or {}).get("slack3", 0.0)
 
@@ -93,8 +115,8 @@ class VerificationReport:
             doc["balance"] = self.balance.to_json_dict()
         if self.eps_fem is not None:
             doc["eps_fem"] = dict(self.eps_fem)
-            doc["budgeted_slack2"] = self.budgeted_slack2()
-            doc["budgeted_slack3"] = self.budgeted_slack3()
+            doc["budgeted_slack2"] = self.budgeted_slack2
+            doc["budgeted_slack3"] = self.budgeted_slack3
         return doc
 
 
@@ -134,13 +156,6 @@ def trial_bound_sum(mesh: SurfaceMesh, f: MapSample, a: complex) -> float:
     return sum(1.0 / fem.rayleigh_quotient(u, K, M) for u in (sf.x3, w1, w2))
 
 
-def verify_eq3(report: VerificationReport) -> tuple[float, float, float]:
-    """Sides and slack of the product-form inequality, pure arithmetic."""
-    lhs3 = report.lambda1 * report.mu1 * report.area
-    rhs3 = report.degree * FOUR_PI_3 * (2.0 * report.lambda1 + report.mu1)
-    return lhs3, rhs3, rhs3 - lhs3
-
-
 def check_eq3_implication(report: VerificationReport) -> None:
     """Assert algebraically that the product inequality follows from the
     reciprocal one when mu1 <= mu2:
@@ -173,7 +188,6 @@ def verify_inequality(mesh: SurfaceMesh, f: MapSample) -> VerificationReport:
     solve and the later stages go to `fem.forked_map`, which may run the
     Dirichlet solve in a forked process, with the same report either way.
     """
-    area = mesh.total_area()
     d = compute_degree(mesh, f)
     if f.degree != d:
         raise ValueError(f"map states degree {f.degree}, but its boundary "
@@ -185,21 +199,13 @@ def verify_inequality(mesh: SurfaceMesh, f: MapSample) -> VerificationReport:
     else:
         dirichlet = fem.solve_dirichlet(mesh, 1)
         neumann, bal, trial = _neumann_stages(mesh, f)
-    lam1 = float(dirichlet.eigenvalues[0])
-    mu1, mu2 = float(neumann.eigenvalues[0]), float(neumann.eigenvalues[1])
-
-    lhs2 = (1.0 / lam1 + 1.0 / mu1 + 1.0 / mu2) / area
-    rhs2 = 3.0 / (4.0 * np.pi * d)
+    mu1, mu2 = (float(mu) for mu in neumann.eigenvalues[:2])
     report = VerificationReport(
-        lambda1=lam1, mu1=mu1, mu2=mu2, area=area, degree=d,
-        lhs2=lhs2, rhs2=rhs2, slack2=lhs2 - rhs2,
-        lhs3=0.0, rhs3=0.0, slack3=0.0,
-        trial_sum=trial, mesh_resolution=mesh.descriptor(),
-        balance=bal,
+        lambda1=float(dirichlet.eigenvalues[0]), mu1=mu1, mu2=mu2,
+        area=mesh.total_area(), degree=d, trial_sum=trial,
+        mesh_resolution=mesh.descriptor(), balance=bal,
         dirichlet_residuals=[float(r) for r in dirichlet.residuals],
-        neumann_residuals=[float(r) for r in neumann.residuals],
-    )
-    report.lhs3, report.rhs3, report.slack3 = verify_eq3(report)
+        neumann_residuals=[float(r) for r in neumann.residuals])
     check_eq3_implication(report)
     return report
 

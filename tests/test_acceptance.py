@@ -205,9 +205,9 @@ def test_09_balancing(budget_reports, _criterion):
 
 
 def test_10_proof_sandwich(budget_reports, _criterion):
-    worst_lo = min(rep.margin_lower() + rep.eps_fem["lower"]
+    worst_lo = min(rep.margin_lower + rep.eps_fem["lower"]
                    for rep in budget_reports.values())
-    worst_up = min(rep.margin_upper() + rep.eps_fem["upper"]
+    worst_up = min(rep.margin_upper + rep.eps_fem["upper"]
                    for rep in budget_reports.values())
     _criterion(10, "trial sum sandwiched between proof bounds",
                worst_lo >= 0.0 and worst_up >= 0.0,

@@ -87,6 +87,15 @@ def test_gen_rejects_an_out_of_range_float_as_a_bad_flag(tmp_path, runner,
     assert os.listdir(tmp_path) == []
 
 
+def test_gen_rejects_a_negative_seed_as_a_bad_flag(tmp_path, runner):
+    result = runner.invoke(main, ["gen", "--shape", "conformal-disc",
+                                  "--resolution", "4", "--seed", "-1",
+                                  "--out", str(tmp_path / "m.json")])
+    assert result.exit_code == 2
+    assert "--seed" in result.stderr
+    assert os.listdir(tmp_path) == []
+
+
 def test_spectrum_neumann_zero_mode_gap(tmp_path, runner):
     mesh_file = tmp_path / "disc.json"
     runner.invoke(main, ["gen", "--shape", "disc", "--resolution", "8",
@@ -398,6 +407,18 @@ def test_batch_rejects_a_count_below_one_as_a_bad_flag(tmp_path, runner, cpus,
                                   "--csv", str(tmp_path / "s.csv")])
     assert result.exit_code == 2
     assert flag in result.stderr
+    assert forks == []
+    assert os.listdir(tmp_path) == []
+
+
+def test_batch_rejects_a_base_resolution_below_two_as_a_bad_flag(
+        tmp_path, runner, cpus):
+    # the branched fixture needs 2 rings; 1 used to fail after the forks
+    forks = cpus(2)
+    result = runner.invoke(main, ["batch", "--base-resolution", "1",
+                                  "--csv", str(tmp_path / "s.csv")])
+    assert result.exit_code == 2
+    assert "--base-resolution" in result.stderr
     assert forks == []
     assert os.listdir(tmp_path) == []
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import re
 from functools import partial
@@ -21,33 +22,29 @@ MU1_DISC = J1P_ZERO ** 2
 
 
 def analytic_disc_report():
-    """Report filled with the exact flat-disc constants (d = 1)."""
-    lhs2 = (1 / LAMBDA1_DISC + 2 / MU1_DISC) / np.pi
-    rep = VerificationReport(
+    """Report of the exact flat-disc constants (d = 1)."""
+    return VerificationReport(
         lambda1=LAMBDA1_DISC, mu1=MU1_DISC, mu2=MU1_DISC, area=np.pi,
-        degree=1, lhs2=lhs2, rhs2=3 / (4 * np.pi), slack2=lhs2 - 3 / (4 * np.pi),
-        lhs3=0, rhs3=0, slack3=0, trial_sum=0.75,
-        mesh_resolution="analytic")
-    rep.lhs3, rep.rhs3, rep.slack3 = ms.verify_eq3(rep)
-    return rep
+        degree=1, trial_sum=0.75, mesh_resolution="analytic")
 
 
 class TestVerifyEq3:
     def test_hemisphere_equality(self):
         rep = VerificationReport(
             lambda1=2.0, mu1=2.0, mu2=2.0, area=2 * np.pi, degree=1,
-            lhs2=0, rhs2=0, slack2=0, lhs3=0, rhs3=0, slack3=0,
             trial_sum=1.5, mesh_resolution="analytic")
-        lhs3, rhs3, slack3 = ms.verify_eq3(rep)
-        assert lhs3 == pytest.approx(8 * np.pi, rel=1e-14)
-        assert rhs3 == pytest.approx(8 * np.pi, rel=1e-14)
-        assert slack3 == pytest.approx(0.0, abs=1e-12)
+        assert rep.lhs3 == pytest.approx(8 * np.pi, rel=1e-14)
+        assert rep.rhs3 == pytest.approx(8 * np.pi, rel=1e-14)
+        assert rep.slack3 == pytest.approx(0.0, abs=1e-12)
 
     def test_flat_disc_constants(self):
-        lhs3, rhs3, slack3 = ms.verify_eq3(analytic_disc_report())
-        assert lhs3 == pytest.approx(61.59, abs=0.01)
-        assert rhs3 == pytest.approx(62.65, abs=0.01)
-        assert slack3 == pytest.approx(1.06, abs=0.01)
+        rep = analytic_disc_report()
+        assert rep.lhs2 == pytest.approx(
+            (1 / LAMBDA1_DISC + 2 / MU1_DISC) / np.pi, rel=1e-14)
+        assert rep.rhs2 == pytest.approx(3 / (4 * np.pi), rel=1e-14)
+        assert rep.lhs3 == pytest.approx(61.59, abs=0.01)
+        assert rep.rhs3 == pytest.approx(62.65, abs=0.01)
+        assert rep.slack3 == pytest.approx(1.06, abs=0.01)
 
     def test_implication_from_eq2(self):
         rep = analytic_disc_report()
@@ -60,7 +57,8 @@ class TestVerifyEq3:
                                                 ("mu2", "mu2=nan")])
     def test_implication_rejects_nan(self, field, message):
         rep = analytic_disc_report()
-        setattr(rep, field, float("nan"))
+        # slack3 is derived: a NaN lambda1 makes it NaN
+        setattr(rep, {"slack3": "lambda1"}.get(field, field), float("nan"))
         with pytest.raises(AssertionError, match=message):
             check_eq3_implication(rep)
 
@@ -187,6 +185,25 @@ class TestVerifyInequality:
                                        "coarse_resolution"}
         assert set(doc["balance"]) == {"a", "residual", "iterations"}
 
+    def test_report_stores_only_what_was_measured(self):
+        rep = ms.verify_levels({"disc": partial(fixtures.instance, "disc")},
+                               [4, 8])["disc:1"]
+        measured = {f.name: getattr(rep, f.name)
+                    for f in dataclasses.fields(VerificationReport)}
+        assert list(measured)[:7] == ["lambda1", "mu1", "mu2", "area",
+                                      "degree", "trial_sum", "mesh_resolution"]
+        rebuilt = VerificationReport(**measured)
+        assert ms.mesh.dumps(rebuilt.to_json_dict()) == \
+            ms.mesh.dumps(rep.to_json_dict())
+        for name in ("lhs2", "rhs2", "slack2", "lhs3", "rhs3", "slack3",
+                     "margin_upper", "margin_lower",
+                     "budgeted_slack2", "budgeted_slack3"):
+            assert name not in measured
+            with pytest.raises(AttributeError):
+                setattr(rep, name, 0.0)
+        with pytest.raises(TypeError, match="slack2"):
+            VerificationReport(**measured, slack2=0.0)
+
 
 class TestSplit:
     """The Dirichlet solve in a forked process, forced on 12-ring fixtures
@@ -290,9 +307,9 @@ class TestRichardsonBudget:
         assert set(eps) >= {"slack2", "slack3", "upper", "lower"}
         assert rep.slack2 >= -eps["slack2"]
         assert rep.slack3 >= -eps["slack3"]
-        assert rep.margin_upper() >= -eps["upper"]
-        assert rep.margin_lower() >= -eps["lower"]
-        assert rep.budgeted_slack2() >= 0
+        assert rep.margin_upper >= -eps["upper"]
+        assert rep.margin_lower >= -eps["lower"]
+        assert rep.budgeted_slack2 >= 0
 
     def test_csv_round_trip(self):
         def make(res):
@@ -374,7 +391,7 @@ class TestVerifyLevels:
         assert ms.compute_degree(m, f) == f.degree == 2
         reports = ms.verify_levels(self._battery(["branched"]), resolutions)
         assert [rep.degree for rep in reports.values()] == [2, 2]
-        assert reports["branched:1"].budgeted_slack2() >= 0
+        assert reports["branched:1"].budgeted_slack2 >= 0
 
     def test_worker_processes_match_one_process(self, cpus):
         forks = cpus(1)
