@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import assemble_mass
+from .fem import assemble_mass, single_threaded_blas
 from .mesh import MapSample, SurfaceMesh
 from .transplant import mobius, transplant_coords
 
@@ -72,20 +72,22 @@ def _jacobian(mesh, f, a, sf, m1):
 def center_of_gravity(mesh: SurfaceMesh, f: MapSample, a: complex = 0.0,
                       ) -> tuple[float, float]:
     """First moments (integral of x1, integral of x2) of the transplant,
-    under consistent-mass quadrature.  Raises ValueError on a closed mesh."""
+    under consistent-mass quadrature.  Raises MeshError on a closed mesh."""
     mesh.require_boundary()
     m1 = assemble_mass(mesh) @ np.ones(mesh.vertex_count)
     g, _ = _moments(mesh, f, complex(a), m1)
     return float(g[0]), float(g[1])
 
 
+@single_threaded_blas()
 def balance_center_of_mass(mesh: SurfaceMesh, f: MapSample) -> BalanceResult:
     """Find a with ||G(a)|| <= BALANCE_REL_TOL * area, starting from a = 0.
 
     Damped Newton on the moment map G with its closed-form Jacobian, for
     at most MAX_NEWTON_STEPS steps; steps are halved to stay inside the
     disc and to force a residual decrease.  Raises BalanceError with the
-    best residual if Newton stalls, and ValueError on a closed mesh.
+    best residual if Newton stalls, and MeshError on a closed mesh.  Runs
+    on one OpenBLAS thread, so its last digits do not follow the host.
     """
     mesh.require_boundary()
     m1 = assemble_mass(mesh) @ np.ones(mesh.vertex_count)

@@ -38,6 +38,13 @@ def _dump(path, doc):
     _write(path, meshmod.dumps(doc, indent=True))
 
 
+def _finite(ctx, param, value):
+    # click.FloatRange, like float, lets nan through
+    if not np.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number")
+    return value
+
+
 @click.group()
 def main():
     """Spectra and eigenvalue-inequality verification for bordered surfaces."""
@@ -48,12 +55,13 @@ def main():
 @click.option("--resolution", type=click.IntRange(min=1), required=True)
 @click.option("--colatitude", default=np.pi / 2,
               type=click.FloatRange(0, np.pi, min_open=True, max_open=True),
-              help="cap polar angle in radians")
+              callback=_finite, help="cap polar angle in radians")
 @click.option("--inner-radius", default=0.5,
-              type=click.FloatRange(0, 1, min_open=True, max_open=True))
+              type=click.FloatRange(0, 1, min_open=True, max_open=True),
+              callback=_finite)
 @click.option("--seed", type=click.IntRange(min=0), default=0,
               help="conformal-disc RNG seed")
-@click.option("--amplitude", type=float, default=1.0,
+@click.option("--amplitude", type=float, default=1.0, callback=_finite,
               help="bound on the conformal log-factor")
 @click.option("--out", type=click.Path(), required=True,
               help="mesh JSON file, or '-' for stdout")

@@ -14,9 +14,10 @@ SPD and so factored in SuperLU's symmetric mode without pivoting, in
 minimum-degree order.  The Lanczos basis holds max(2k + 2, 8) vectors (at
 most n), ARPACK stops at `LANCZOS_TOL`, and the start vector is drawn
 from a fixed seed so that repeated solves agree to the last bit.  Every
-eigensolve and every `forked_map` call runs with each OpenBLAS capped at
-one thread (`single_threaded_blas`), as their last digits would otherwise
-follow the host's core count.  Residuals are normalized by the
+eigensolve, balancing (`balance.balance_center_of_mass`), trial sum
+(`verify.trial_bound_sum`) and `forked_map` call runs with each OpenBLAS
+capped at one thread (`single_threaded_blas`), as their last digits would
+otherwise follow the host's core count.  Residuals are normalized by the
 eigenvalue, so every check is invariant under rescaling the metric, and
 every pair is still checked against `RESIDUAL_TOL`.
 """
@@ -335,13 +336,11 @@ def solve_dirichlet(mesh: SurfaceMesh, k: int) -> SpectralResult:
     """k smallest eigenpairs with u = 0 on the boundary.
 
     The matrices are gathered onto `mesh.interior_pattern`; eigenfunctions
-    are re-embedded with exact zeros on boundary vertices.
+    are re-embedded with exact zeros on boundary vertices.  A closed mesh
+    raises MeshError (`require_boundary`).
     """
+    mesh.require_boundary()
     interior = mesh.interior_vertex_indices
-    if interior.size == mesh.vertex_count:
-        raise EigenSolveError(
-            f"mesh has no boundary vertex among its {mesh.vertex_count} "
-            "vertices: the Dirichlet problem needs a boundary")
     if interior.size < k:
         raise EigenSolveError(
             f"only {interior.size} interior dofs, cannot compute {k} eigenpairs")

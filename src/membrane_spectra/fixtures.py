@@ -3,10 +3,13 @@
 `build` makes every shape `membrane-spectra gen` offers.  Battery names
 (`disc`, `hemisphere`, `cap-pi6`, `cap-pi3`, `conformal-<seed>`,
 `branched`) resolve through one table into `build` arguments, so the
-`batch` command and the acceptance suite construct the same instances.
+`batch` command and the acceptance suite construct the same instances;
+`<seed>` is the decimal form of an integer >= 0 (`7`, not `07`).
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -72,9 +75,9 @@ def build(shape: str, resolution: int, *, colatitude: float = np.pi / 2,
 
 def instance(name: str, resolution: int):
     """(mesh, map) of the battery fixture `name` at `resolution`."""
-    if name.startswith("conformal-"):
-        return build("conformal-disc", resolution,
-                     seed=int(name.split("-")[1]))
+    seed = re.fullmatch(r"conformal-(0|[1-9][0-9]*)", name)
+    if seed:
+        return build("conformal-disc", resolution, seed=int(seed[1]))
     if name not in _NAMED:
         raise ValueError(f"unknown fixture {name!r}")
     shape, kwargs = _NAMED[name]

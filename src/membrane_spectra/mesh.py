@@ -91,15 +91,20 @@ class MapSample:
 
     def check_proper(self, mesh: "SurfaceMesh") -> None:
         """Raise if the samples do not match the vertices (`check_count`),
-        if boundary vertices sit farther than PROPER_TOL from the unit
-        circle, or if the mesh has none."""
+        if the mesh has no boundary (`require_boundary`), if boundary
+        vertices sit farther than PROPER_TOL from the unit circle, or if
+        any vertex maps farther than PROPER_TOL outside the closed disc."""
         self.check_count(mesh)
-        r = np.abs(self.values[mesh.require_boundary()])
-        worst = float(np.max(np.abs(1.0 - r)))
+        r = np.abs(self.values)
+        worst = float(np.max(np.abs(1.0 - r[mesh.require_boundary()])))
         if not worst <= PROPER_TOL:     # written so that NaN fails it
             raise ValueError(
                 f"map is not proper: boundary modulus deviates from 1 by {worst:.3g}"
             )
+        v = int(np.argmax(r))
+        if r[v] > 1.0 + PROPER_TOL:
+            raise ValueError(f"map is not proper: vertex {v} maps to modulus "
+                             f"{r[v]:.6g}, outside the closed unit disc")
 
 
 def _heron_areas(lengths: np.ndarray) -> np.ndarray:
@@ -207,10 +212,10 @@ class InteriorPattern(NamedTuple):
 
 class Triangulation:
     """The topology of a mesh: read-only (F, 3) vertex-index triples with
-    globally consistent orientation on `vertex_count` vertices (by default
-    one more than the largest index), their edges and the edge opposite
-    each corner, checked once, here.  Each derived fact is one read-only
-    attribute: the boundary masks and interior indices are set here, and
+    globally consistent orientation on `vertex_count` vertices, one more
+    than the largest index, their edges and the edge opposite each corner,
+    checked once, here.  Each derived fact is one read-only attribute:
+    the boundary masks and interior indices are set here, and
     `boundary_loops`, `topology` and both CSR patterns are cached
     properties (one that raises keeps nothing).  On Python 3.10 and 3.11
     their first builds wait on one lock; from 3.12 on, threads may build
@@ -219,7 +224,7 @@ class Triangulation:
     different metrics on the same triangles share one triangulation.
     """
 
-    def __init__(self, triangles, vertex_count=None):
+    def __init__(self, triangles):
         tri = np.asarray(triangles)
         if (tri.ndim != 2 or tri.shape[1] != 3 or tri.shape[0] < 1
                 or tri.dtype.kind not in "iuf"):
@@ -233,11 +238,7 @@ class Triangulation:
         tri = np.ascontiguousarray(tri, dtype=np.int64)
         if tri.min() < 0:
             raise MeshError("negative vertex index")
-        n = int(tri.max()) + 1 if vertex_count is None else vertex_count
-        if tri.max() >= n:
-            raise MeshError("triangle index exceeds vertex count")
-        if n < 3:
-            raise MeshError("a surface mesh needs at least 3 vertices")
+        n = int(tri.max()) + 1
         self.triangles, self.vertex_count = tri, n
         # corner_edges[f, c] is the edge opposite corner c of triangle f
         self.edges, self.corner_edges = _edge_structure(tri, n)
@@ -305,22 +306,20 @@ class Triangulation:
             local[full.indices[gather]].astype(full.indices.dtype), gather))
 
     def require_boundary(self) -> np.ndarray:
-        """The boundary vertex mask; raises ValueError on a closed mesh,
-        which carries no proper map to the disc."""
+        """The boundary vertex mask; raises MeshError on a closed mesh, which
+        has no boundary loop, Dirichlet problem or proper map to the disc."""
         if not self.boundary_vertex_mask.any():
-            raise ValueError(
-                f"mesh has no boundary: none of its {self.vertex_count} "
-                "vertices is a boundary vertex, and a proper map to the disc "
-                "needs boundary vertices on the unit circle")
+            raise MeshError(f"mesh has no boundary: none of its "
+                            f"{self.vertex_count} vertices is a boundary vertex")
         return self.boundary_vertex_mask
 
     @functools.cached_property
     def boundary_loops(self) -> tuple:
         """Boundary components as read-only int64 arrays of vertex cycles,
         oriented with the surface on the left, each from its smallest
-        vertex.  Raises MeshError on a closed mesh or a pinched boundary."""
-        if not self.boundary_edge_mask.any():
-            raise MeshError("mesh is closed: no boundary contours")
+        vertex.  Raises MeshError on a closed mesh (`require_boundary`) or
+        a pinched boundary."""
+        self.require_boundary()
         # the directed boundary edges, as their triangles orient them:
         # the edge opposite corner c runs from corner c + 1 to c + 2
         face, c = np.divmod(np.flatnonzero(
@@ -364,8 +363,9 @@ class SurfaceMesh:
         Vertex-index triples with globally consistent orientation, or a
         triangulation built before, whose checks are not run again.
     positions : array_like, shape (V, 3), optional
-        Embedded vertex coordinates.  When given and `edge_lengths` is
-        not, edge lengths are derived from them.
+        Embedded vertex coordinates, one row per vertex of the
+        triangulation.  When given and `edge_lengths` is not, edge lengths
+        are derived from them.
     edge_lengths : array_like, optional
         Positive lengths as an (E,) array aligned to `edges`; or (R, 3)
         rows [i, j, length] in any order and orientation that cover every
@@ -376,10 +376,9 @@ class SurfaceMesh:
     def __init__(self, triangles, positions=None, edge_lengths=None):
         pos = None if positions is None else _floats(
             positions, "positions must be a (V, 3) array of numbers", 3)
-        t = triangles
-        if not isinstance(t, Triangulation):
-            t = Triangulation(t, None if pos is None else len(pos))
-        elif pos is not None and len(pos) != t.vertex_count:
+        t = (triangles if isinstance(triangles, Triangulation)
+             else Triangulation(triangles))
+        if pos is not None and len(pos) != t.vertex_count:
             raise MeshError(f"positions must have {t.vertex_count} rows")
         self.triangulation, self.positions = t, pos
 
@@ -401,8 +400,11 @@ class SurfaceMesh:
             lens = np.linalg.norm(d, axis=1)
         else:
             raise MeshError("one of positions / edge_lengths is required")
-        if not np.all(np.isfinite(lens)) or np.any(lens <= 0):
-            raise MeshError("edge lengths must be positive finite reals")
+        bad = np.flatnonzero(~((lens > 0) & (lens < np.inf)))    # NaN too
+        if bad.size:
+            (i, j), length = self.edges[bad[0]], float(lens[bad[0]])
+            raise MeshError(f"edge ({i}, {j}) has length {length!r}: edge "
+                            "lengths must be positive finite reals")
         self.lengths = lens
         # areas double as the triangle-inequality check
         self.triangle_areas = _heron_areas(self.tri_lengths())
@@ -451,6 +453,8 @@ def _disc_structure(rings: int) -> tuple[np.ndarray, Triangulation]:
     the read-only vertex coordinates as complex numbers and the
     `Triangulation`, all triangles counterclockwise.
     """
+    if rings < 1:
+        raise ValueError(f"rings must be >= 1, got {rings}")
     z = [np.zeros(1, dtype=complex)]
     for k in range(1, rings + 1):
         n = 6 * k
@@ -481,8 +485,6 @@ def _disc_structure(rings: int) -> tuple[np.ndarray, Triangulation]:
 
 def generate_disc(rings: int) -> SurfaceMesh:
     """Flat triangulation of the closed unit disc."""
-    if rings < 1:
-        raise ValueError(f"rings must be >= 1, got {rings}")
     z, tri = _disc_structure(rings)
     pos = np.column_stack([z.real, z.imag, np.zeros(z.size)])
     return SurfaceMesh(tri, positions=pos)
@@ -495,8 +497,6 @@ def generate_spherical_cap(colatitude: float, resolution: int) -> SurfaceMesh:
     """
     if not 0.0 < colatitude < np.pi:
         raise ValueError(f"colatitude must lie in (0, pi), got {colatitude}")
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
     z, tri = _disc_structure(resolution)
     theta = np.abs(z) * colatitude
     phi = np.angle(z)
@@ -557,8 +557,6 @@ def generate_conformal_disc(rings: int, log_factor) -> tuple[SurfaceMesh, MapSam
     complex coordinates.  Edge lengths get the endpoint-averaged factor
     e^{(phi(u) + phi(v)) / 2}.  The map sample is the identity, degree 1.
     """
-    if rings < 1:
-        raise ValueError(f"rings must be >= 1, got {rings}")
     z, tri = _disc_structure(rings)
     phi = np.asarray(log_factor(z), dtype=float)
     if phi.shape != z.shape:
@@ -575,6 +573,10 @@ def generate_conformal_disc(rings: int, log_factor) -> tuple[SurfaceMesh, MapSam
 # -- JSON interchange --------------------------------------------------------
 
 def mesh_to_json_dict(mesh: SurfaceMesh, map_sample: MapSample | None = None) -> dict:
+    """The mesh JSON document of `mesh` and `map_sample`, which must have
+    one sample per vertex (`MapSample.check_count`)."""
+    if map_sample is not None:
+        map_sample.check_count(mesh)
     doc: dict = {"triangles": mesh.triangles.tolist()}
     if mesh.positions is not None:
         doc["vertices"] = mesh.positions.tolist()
@@ -591,7 +593,8 @@ def mesh_to_json_dict(mesh: SurfaceMesh, map_sample: MapSample | None = None) ->
 
 def mesh_from_json_dict(doc: dict) -> tuple[SurfaceMesh, MapSample | None]:
     """Inverse of `mesh_to_json_dict`; `edge_lengths` rows may come in any
-    order and orientation, and a map with no `degree` states degree 1."""
+    order and orientation, a map with no `degree` states degree 1, and a
+    `degree` with no map is a MeshError."""
     if not isinstance(doc, dict):
         raise MeshError("mesh JSON must be an object")
     if "triangles" not in doc:
@@ -610,6 +613,8 @@ def mesh_from_json_dict(doc: dict) -> tuple[SurfaceMesh, MapSample | None]:
         vals = _json_array(doc["map"], "map", 2)
         ms = MapSample(vals.view(complex).ravel(), doc.get("degree", 1))
         ms.check_count(mesh)
+    elif "degree" in doc:
+        raise MeshError("mesh JSON has a 'degree' but no 'map'")
     return mesh, ms
 
 

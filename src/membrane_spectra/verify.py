@@ -120,6 +120,7 @@ class VerificationReport:
         return doc
 
 
+@fem.single_threaded_blas()
 def trial_bound_sum(mesh: SurfaceMesh, f: MapSample, a: complex) -> float:
     """Sum of reciprocal Rayleigh quotients of the balanced transplants.
 
@@ -127,7 +128,7 @@ def trial_bound_sum(mesh: SurfaceMesh, f: MapSample, a: complex) -> float:
     times the area (checked, since unbalanced equatorial coordinates are
     inadmissible Neumann trials).  The two Neumann trials are projected to exact zero M-mean
     and rotated into an M-orthogonal pair, so the discrete reciprocal-sum
-    bound applies verbatim.
+    bound applies verbatim.  Runs on one OpenBLAS thread, as balancing does.
     """
     K = fem.assemble_stiffness(mesh)
     M = fem.assemble_mass(mesh)

@@ -2,14 +2,25 @@ import numpy as np
 import pytest
 
 import membrane_spectra as ms
-from membrane_spectra import balance, fixtures
+from membrane_spectra import balance, fem, fixtures
 from membrane_spectra.balance import BalanceError
 from membrane_spectra.transplant import (disc_map_from_positions,
-                                         identity_map_from_positions)
+                                         identity_map_from_positions, mobius)
 
 from conftest import grid_search_balance, octahedron, resized_map, rotated
 
 GRID_SPACING = 2 * 0.99 / 100  # 101-point grid over [-0.99, 0.99]
+
+
+def _moment_calls(monkeypatch):
+    """(a, OpenBLAS thread counts) of every later moment-map evaluation."""
+    calls, moments = [], balance._moments
+
+    def counted(mesh, f, a, m1):
+        calls.append((a, [get() for get, _ in fem._openblas_libraries()]))
+        return moments(mesh, f, a, m1)
+    monkeypatch.setattr(balance, "_moments", counted)
+    return calls
 
 
 class TestCenterOfGravity:
@@ -117,6 +128,53 @@ class TestBalance:
         with pytest.raises(ValueError,
                            match="mesh has no boundary: none of its 6 vertices"):
             ms.balance_center_of_mass(m, f)
+
+    def test_overshooting_step_is_halved(self, monkeypatch):
+        # the first Newton step from a = 0 lands at |a| = 0.997 with a
+        # larger residual, and its half is taken instead
+        mesh, f = ms.generate_conformal_disc(12, fixtures.random_log_factor(4, 4))
+        calls = _moment_calls(monkeypatch)
+        res = ms.balance_center_of_mass(mesh, f)
+        evaluated = [a for a, _ in calls]
+        assert res.iterations == 6
+        assert len(evaluated) == 1 + res.iterations + 1     # one halving
+        assert evaluated[2] == 0.5 * evaluated[1]
+        assert abs(res.a) == pytest.approx(0.818, abs=1e-3)
+        assert res.residual <= 1e-10 * mesh.total_area()
+        a_grid, _ = grid_search_balance(mesh, f)
+        assert abs(res.a - a_grid) <= 2 * GRID_SPACING
+
+    def test_no_decrease_along_the_step_is_a_balance_error(self, monkeypatch):
+        # the Mobius map T_{-1/2} balances at a = 1/2, outside |a| <= 0.3:
+        # Newton halves its way to |a| = 0.3, where no step decreases the
+        # residual, and gives up long before MAX_NEWTON_STEPS
+        disc = ms.generate_disc(12)
+        z = identity_map_from_positions(disc).values
+        f = ms.MapSample(mobius(-0.5, z), 1)
+        assert abs(ms.balance_center_of_mass(disc, f).a - 0.5) <= 1e-8
+        monkeypatch.setattr(balance, "MAX_ABS_A", 0.3)
+        calls = _moment_calls(monkeypatch)
+        with pytest.raises(BalanceError, match="did not converge: best "
+                           r"residual 9\.007e-01 .* at a = \(0\.29"):
+            ms.balance_center_of_mass(disc, f)
+        assert len(calls) == 21
+        assert max(abs(a) for a, _ in calls) <= 0.3
+
+    def test_balancing_and_trial_sum_run_on_one_blas_thread(
+            self, monkeypatch, blas_libs):
+        # 12,481 vertices outside forked_map: on every OpenBLAS thread the
+        # last digits of a and of the trial sum would follow the count
+        mesh, f = fixtures.instance("conformal-0", 64)
+        calls = _moment_calls(monkeypatch)
+        results = []
+        for threads in (2, 1):
+            for _, set_ in blas_libs:
+                set_(threads)
+            a = ms.balance_center_of_mass(mesh, f).a
+            results.append((a, ms.trial_bound_sum(mesh, f, a)))
+            assert [get() for get, _ in blas_libs] == [threads] * len(blas_libs)
+        assert results[0] == results[1]
+        assert {tuple(counts) for _, counts in calls} == {(1,) * len(blas_libs)}
 
     @pytest.mark.parametrize("count", [60, 62])
     def test_sample_count_must_match_vertices(self, count):

@@ -76,7 +76,11 @@ def test_gen_rejects_bad_params(tmp_path, runner):
 
 @pytest.mark.parametrize("shape, flag, value", [
     ("annulus", "--inner-radius", "1.5"), ("annulus", "--inner-radius", "0"),
-    ("cap", "--colatitude", "4"), ("cap", "--colatitude", "0")])
+    ("cap", "--colatitude", "4"), ("cap", "--colatitude", "0"),
+    ("annulus", "--inner-radius", "nan"), ("cap", "--colatitude", "nan"),
+    ("conformal-disc", "--amplitude", "nan"),
+    ("conformal-disc", "--amplitude", "inf"),
+    ("conformal-disc", "--amplitude", "-inf")])
 def test_gen_rejects_an_out_of_range_float_as_a_bad_flag(tmp_path, runner,
                                                          shape, flag, value):
     result = runner.invoke(main, ["gen", "--shape", shape, "--resolution",
@@ -84,6 +88,17 @@ def test_gen_rejects_an_out_of_range_float_as_a_bad_flag(tmp_path, runner,
                                   "--out", str(tmp_path / "m.json")])
     assert result.exit_code == 2
     assert flag in result.stderr
+    assert os.listdir(tmp_path) == []
+
+
+def test_gen_overflowing_amplitude_names_the_bad_edge(tmp_path, runner):
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        result = runner.invoke(main, ["gen", "--shape", "conformal-disc",
+                                      "--resolution", "4", "--amplitude",
+                                      "1e308", "--out", str(tmp_path / "m.json")])
+    assert result.exit_code == 1
+    assert json.loads(result.stderr)["error"] == (
+        "edge (0, 1) has length inf: edge lengths must be positive finite reals")
     assert os.listdir(tmp_path) == []
 
 

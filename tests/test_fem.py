@@ -14,6 +14,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 import membrane_spectra as ms
 from membrane_spectra import fem, fixtures
 from membrane_spectra.fem import EigenSolveError
+from membrane_spectra.mesh import MeshError
 
 from conftest import J0_ZERO, J1P_ZERO, octahedron, square_mesh
 
@@ -280,8 +281,8 @@ class TestSolveDirichlet:
             assert u @ (M @ u) == pytest.approx(1.0, rel=1e-10)
 
     def test_closed_mesh_is_rejected(self):
-        with pytest.raises(EigenSolveError,
-                           match="no boundary vertex among its 6 vertices"):
+        with pytest.raises(MeshError, match="mesh has no boundary: none of "
+                           "its 6 vertices is a boundary vertex$"):
             ms.solve_dirichlet(octahedron(), 1)
 
     def test_too_many_eigenpairs(self):

@@ -1,6 +1,8 @@
 import gc
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -11,7 +13,7 @@ import membrane_spectra as ms
 from membrane_spectra import fixtures
 from membrane_spectra.mesh import MeshError
 
-from conftest import BAD_ROWS, octahedron, square_mesh
+from conftest import BAD_ROWS, octahedron, resized_map, square_mesh
 
 
 def polygon_area(n):
@@ -210,6 +212,28 @@ def _walk_boundary_loops(mesh):
     return loops
 
 
+@pytest.mark.parametrize("make", [
+    ms.mesh._disc_structure, ms.generate_disc,
+    lambda rings: ms.generate_spherical_cap(np.pi / 3, rings),
+    lambda rings: ms.generate_conformal_disc(rings, np.real)],
+    ids=["structure", "disc", "cap", "conformal"])
+def test_one_ring_count_rule(make):
+    before = ms.mesh._disc_structure.cache_info()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^rings must be >= 1, got 0$"):
+            make(0)
+    # both calls missed: the failed one was not cached
+    assert ms.mesh._disc_structure.cache_info().hits == before.hits
+
+
+@pytest.mark.parametrize("name", ["conformal-1-2", "conformal-01",
+                                  "conformal-x", "conformal-", "conformal-+1",
+                                  "conformal-1 ", "conformal-\u0661"])
+def test_conformal_fixture_needs_the_decimal_form_of_a_seed(name):
+    with pytest.raises(ValueError, match=re.escape(f"unknown fixture {name!r}")):
+        fixtures.instance(name, 4)
+
+
 @pytest.mark.parametrize("rings", [1, 2, 5, 13])
 def test_ring_zipper_matches_scalar_loop(rings):
     tris = ms.mesh._disc_structure(rings)[1].triangles
@@ -283,7 +307,8 @@ class TestBoundaryLoops:
         pos = [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]
         tris = [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]]
         m = ms.SurfaceMesh(tris, positions=pos)
-        with pytest.raises(MeshError, match="closed"):
+        with pytest.raises(MeshError, match="mesh has no boundary: none of "
+                           "its 4 vertices is a boundary vertex$"):
             m.boundary_loops
 
     def test_failed_walk_raises_on_every_access(self, unvalidated):
@@ -293,12 +318,25 @@ class TestBoundaryLoops:
         pinched = ms.SurfaceMesh(
             [[0, 1, 2], [0, 3, 4]],
             positions=[[0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]])
-        for m, message in ((tetrahedron, "closed"), (pinched, "non-manifold")):
+        for m, message in ((tetrahedron, "mesh has no boundary"),
+                           (pinched, "non-manifold")):
             for _ in range(2):
                 with pytest.raises(MeshError, match=message):
                     m.boundary_loops
                 with pytest.raises(MeshError, match=message):
                     m.topology
+
+    def test_closed_mesh_fails_in_one_place(self):
+        m = octahedron()
+        f = ms.MapSample(m.positions[:, 0] + 1j * m.positions[:, 1], 1)
+        for check in (m.require_boundary, lambda: m.boundary_loops,
+                      lambda: m.topology, lambda: ms.solve_dirichlet(m, 1),
+                      lambda: f.check_proper(m),
+                      lambda: ms.center_of_gravity(m, f),
+                      lambda: ms.balance_center_of_mass(m, f)):
+            with pytest.raises(MeshError, match="^mesh has no boundary: none "
+                               "of its 6 vertices is a boundary vertex$"):
+                check()
 
     def test_boundary_edge_mask_marks_edges_of_one_triangle(self, disc8):
         counts = np.bincount(disc8.corner_edges.ravel(),
@@ -391,6 +429,16 @@ class TestValidation:
                         [5, 5, 0], [6, 5, 0], [5, 6, 0]], dtype=float)
         with pytest.raises(MeshError, match="components"):
             ms.SurfaceMesh([[0, 1, 2], [3, 4, 5]], positions=pos)
+
+    @pytest.mark.parametrize("length", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_edge_length_is_named(self, disc8, length):
+        lengths = disc8.lengths.copy()
+        lengths[[5, 9]] = length
+        i, j = disc8.edges[5]
+        with pytest.raises(MeshError, match=re.escape(
+                f"edge ({i}, {j}) has length {length!r}: edge lengths must "
+                "be positive finite reals")):
+            ms.SurfaceMesh(disc8.triangulation, edge_lengths=lengths)
 
     def test_scaled(self, disc8):
         m = disc8.scaled(3.0)
@@ -493,22 +541,30 @@ class TestTriangulation:
             assert m.triangulation is not disc8.triangulation
             assert np.array_equal(m.triangles, disc8.triangles)
 
+    def test_size_comes_from_the_triangles(self):
+        params = inspect.signature(ms.mesh.Triangulation).parameters
+        assert list(params) == ["triangles"]
+        assert ms.mesh.Triangulation([[0, 1, 2], [0, 2, 3]]).vertex_count == 4
+
     def test_positions_must_match_a_given_triangulation(self, disc8):
         with pytest.raises(MeshError, match="positions must have 217 rows"):
             ms.SurfaceMesh(disc8.triangulation, positions=disc8.positions[:-1])
 
-    @pytest.mark.parametrize("triangles, n, message", [
+    @pytest.mark.parametrize("triangles, positions, message", [
         ([[0, 1, 2], [0, 2, 2]], None, "repeated vertex"),
-        ([[0, 1, 2]], 4, "unreferenced vertices"),
+        ([[0, 1, 3]], None, "unreferenced vertices"),
         ([[0, 1, 2], [1, 0, 3], [3, 0, 1]], None, "non-manifold"),
         ([[0, 1, 2], [0, 3, 2]], None, "orientation"),
         ([[0, 1, 2], [3, 4, 5]], None, "2 components"),
         ([[0, 1, -2]], None, "negative vertex index"),
-        ([[0, 1, 5]], 4, "exceeds vertex count"),
+        ([[0, 1, 2]], np.eye(4, 3), "positions must have 3 rows"),
         ([[0, 1, 2.5]], None, "non-integer vertex index")])
-    def test_invalid_triangles_raise(self, triangles, n, message):
+    def test_invalid_triangles_raise(self, triangles, positions, message):
         with pytest.raises(MeshError, match=message):
-            ms.mesh.Triangulation(triangles, n)
+            if positions is None:
+                ms.mesh.Triangulation(triangles)
+            else:
+                ms.SurfaceMesh(triangles, positions=positions)
 
 
 class TestJsonInterchange:
@@ -529,6 +585,19 @@ class TestJsonInterchange:
         assert f2.degree == 2
         np.testing.assert_allclose(f2.values, f.values, rtol=0, atol=1e-15)
         assert m2.total_area() == pytest.approx(mesh.total_area(), rel=1e-15)
+
+    @pytest.mark.parametrize("count", [5, 38])
+    def test_save_rejects_a_map_of_another_length(self, tmp_path, count):
+        mesh = ms.generate_disc(3)      # 37 vertices
+        with pytest.raises(MeshError,
+                           match=f"map has {count} samples for 37 vertices"):
+            ms.save_mesh(tmp_path / "m.json", mesh, resized_map(mesh, count))
+        assert os.listdir(tmp_path) == []
+
+    def test_degree_without_a_map_rejected(self, disc8):
+        doc = dict(ms.mesh.mesh_to_json_dict(disc8), degree=2)
+        with pytest.raises(MeshError, match="'degree' but no 'map'"):
+            ms.mesh.mesh_from_json_dict(doc)
 
     def test_exactly_one_metric_source(self, tmp_path, disc8):
         doc = ms.mesh.mesh_to_json_dict(disc8)

@@ -141,14 +141,25 @@ class TestVerifyInequality:
     @pytest.mark.parametrize("degree", [1, "auto"])
     def test_improper_map_is_rejected_at_any_degree(self, disc16, degree):
         # the annulus' inner circle, and a disc shrunk by 0.9, leave the
-        # boundary off the unit circle; 1 runs the verdict on a map that
-        # states degree 1, "auto" runs the winding-number degree rule alone
+        # boundary off the unit circle; z (1 + 1.5 (1 - |z|^2)) keeps the
+        # boundary there and winds once, but leaves the disc inside it.  1
+        # runs the verdict on a map that states degree 1, "auto" runs the
+        # winding-number degree rule alone
         annulus = ms.generate_annulus(0.5, 8)
         shrunk = identity_map_from_positions(disc16)
+        disc12 = ms.generate_disc(12)
+        z = identity_map_from_positions(disc12).values
         check = ms.verify_inequality if degree == 1 else ms.compute_degree
-        for mesh, f in ((annulus, identity_map_from_positions(annulus)),
-                        (disc16, ms.MapSample(0.9 * shrunk.values, 1))):
-            with pytest.raises(ValueError, match="map is not proper"):
+        for mesh, f, message in (
+                (annulus, identity_map_from_positions(annulus),
+                 "boundary modulus deviates from 1 by 0.5"),
+                (disc16, ms.MapSample(0.9 * shrunk.values, 1),
+                 "boundary modulus deviates from 1 by 0.1"),
+                (disc12, ms.MapSample(z * (1 + 1.5 * (1 - np.abs(z) ** 2)), 1),
+                 "vertex 234 maps to modulus 1.24219, outside the closed "
+                 "unit disc")):
+            with pytest.raises(ValueError,
+                               match=f"^map is not proper: {message}$"):
                 check(mesh, f)
 
     def test_closed_mesh_is_rejected(self):
