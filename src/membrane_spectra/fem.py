@@ -222,16 +222,6 @@ class SpectralResult:
         return doc
 
 
-def _on_pattern(mesh: SurfaceMesh, diagonal: np.ndarray,
-                off: np.ndarray) -> csr_matrix:
-    """The symmetric matrix with `diagonal` and, at both orientations of
-    edge e, `off[e]`, on the mesh's shared `csr_pattern`."""
-    pattern = mesh.csr_pattern
-    data = np.concatenate([diagonal, off, off])[pattern.order]
-    n = mesh.vertex_count
-    return csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
-
-
 def assemble_stiffness(mesh: SurfaceMesh) -> csr_matrix:
     """Cotangent-weight stiffness matrix from intrinsic edge lengths.
 
@@ -247,7 +237,7 @@ def assemble_stiffness(mesh: SurfaceMesh) -> csr_matrix:
     diagonal = np.bincount(mesh.triangles.ravel(),
                            weights=(w[:, [1, 2, 0]] + w[:, [2, 0, 1]]).ravel(),
                            minlength=mesh.vertex_count)
-    return _on_pattern(mesh, diagonal, off)
+    return mesh.csr_pattern.fill(np.concatenate([diagonal, off, off]))
 
 
 def assemble_mass(mesh: SurfaceMesh) -> csr_matrix:
@@ -260,7 +250,7 @@ def assemble_mass(mesh: SurfaceMesh) -> csr_matrix:
                       minlength=mesh.edge_count)
     diagonal = np.bincount(mesh.triangles.ravel(), weights=area * (2.0 / 12.0),
                            minlength=mesh.vertex_count)
-    return _on_pattern(mesh, diagonal, off)
+    return mesh.csr_pattern.fill(np.concatenate([diagonal, off, off]))
 
 
 def _spectral_scale(K, M) -> float:
@@ -335,7 +325,7 @@ def _solve_gevp(K, M, k: int):
 def solve_dirichlet(mesh: SurfaceMesh, k: int) -> SpectralResult:
     """k smallest eigenpairs with u = 0 on the boundary.
 
-    The matrices are gathered onto `mesh.interior_pattern`; eigenfunctions
+    The matrices are filled into `mesh.interior_pattern`; eigenfunctions
     are re-embedded with exact zeros on boundary vertices.  A closed mesh
     raises MeshError (`require_boundary`).
     """
@@ -345,10 +335,8 @@ def solve_dirichlet(mesh: SurfaceMesh, k: int) -> SpectralResult:
         raise EigenSolveError(
             f"only {interior.size} interior dofs, cannot compute {k} eigenpairs")
     sub = mesh.interior_pattern
-    Ki, Mi = (csr_matrix((A.data[sub.gather], sub.indices, sub.indptr),
-                         shape=(interior.size, interior.size))
-              for A in (assemble_stiffness(mesh), assemble_mass(mesh)))
-    vals, vecs, res = _solve_gevp(Ki, Mi, k)
+    vals, vecs, res = _solve_gevp(sub.fill(assemble_stiffness(mesh).data),
+                                  sub.fill(assemble_mass(mesh).data), k)
     full = np.zeros((mesh.vertex_count, k))
     full[interior] = vecs
     return SpectralResult("dirichlet", vals, full, res)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 PROPER_TOL = 1e-6    # largest | |f| - 1 | on the boundary of a proper map
@@ -145,28 +145,29 @@ def _read_only(*arrays) -> tuple:
 
 
 class CsrPattern(NamedTuple):
-    """Symmetric CSR pattern of a mesh: the diagonal plus both orientations
-    of every edge, in canonical order (sorted, unique columns per row).
-
-    Data entry k is entry `order[k]` of the natural layout: (v, v) per
-    vertex, then (i, j) and then (j, i) per edge (i, j) of `edges`."""
+    """Symmetric CSR pattern in canonical order (sorted, unique columns per
+    row) whose data entry k is entry `take[k]` of an array of values."""
 
     indptr: np.ndarray
     indices: np.ndarray
-    order: np.ndarray
+    take: np.ndarray
+
+    def fill(self, values: np.ndarray) -> csr_matrix:
+        """The matrix whose data entry k is `values[take[k]]`."""
+        n = self.indptr.size - 1
+        return csr_matrix((values[self.take], self.indices, self.indptr),
+                          shape=(n, n))
 
 
 def _csr_pattern(edges: np.ndarray, n: int) -> CsrPattern:
-    """The `CsrPattern` of `edges` on `n` vertices, with index arrays in
-    the narrowest dtype that scipy.sparse keeps without copying."""
+    """The diagonal plus both orientations of every edge on `n` vertices,
+    taking from the natural layout: (v, v) per vertex, then (i, j) and
+    then (j, i) per edge (i, j) of `edges`."""
     v = np.arange(n)
     rows = np.concatenate([v, edges[:, 0], edges[:, 1]])
     cols = np.concatenate([v, edges[:, 1], edges[:, 0]])
-    order = np.argsort(rows * n + cols)
-    index = np.int32 if order.size <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return CsrPattern(*_read_only(indptr, cols[order].astype(index), order))
+    a = coo_matrix((np.arange(rows.size), (rows, cols)), shape=(n, n)).tocsr()
+    return CsrPattern(*_read_only(a.indptr, a.indices, a.data))
 
 
 def _match_lengths(edges: np.ndarray, n: int, pairs: np.ndarray,
@@ -199,15 +200,6 @@ def _match_lengths(edges: np.ndarray, n: int, pairs: np.ndarray,
         i, j = edges[np.argmin(found)]
         raise MeshError(f"missing edge length for edge ({int(i)}, {int(j)})")
     return lens[np.r_[True, at[1:] != at[:-1]]]     # each edge's first row
-
-
-class InteriorPattern(NamedTuple):
-    """CSR pattern of the interior-vertex block of a `CsrPattern`; entry i
-    sits at `gather[i]` in the full pattern's data array."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    gather: np.ndarray
 
 
 class Triangulation:
@@ -273,14 +265,13 @@ class Triangulation:
         if np.any(keys[1:] == keys[:-1]):
             raise MeshError("inconsistent orientation: repeated directed half-edge")
 
-        # triangle adjacency graph connected
-        interior = np.flatnonzero(counts == 2)
-        order = np.argsort(self.corner_edges.ravel(), kind="stable")
-        faces = order // 3
-        ptr = np.searchsorted(self.corner_edges.ravel()[order], interior)
-        fa, fb = faces[ptr], faces[ptr + 1]
+        # triangle adjacency graph connected: triangle f is node f and
+        # edge e node F + e of the graph linking each triangle to its edges
         nf = tri.shape[0]
-        adj = coo_matrix((np.ones(fa.size), (fa, fb)), shape=(nf, nf))
+        nodes = nf + self.edge_count
+        adj = coo_matrix((np.ones(3 * nf), (np.repeat(np.arange(nf), 3),
+                                            nf + self.corner_edges.ravel())),
+                         shape=(nodes, nodes))
         ncomp, _ = connected_components(adj, directed=False)
         if ncomp != 1:
             raise MeshError(f"triangle adjacency graph has {ncomp} components")
@@ -292,18 +283,14 @@ class Triangulation:
         return _csr_pattern(self.edges, self.vertex_count)
 
     @functools.cached_property
-    def interior_pattern(self) -> InteriorPattern:
-        """The read-only `InteriorPattern` of `csr_pattern`, which the
-        Dirichlet matrices share."""
-        full = self.csr_pattern
-        inside = ~self.boundary_vertex_mask
-        rows = np.repeat(np.arange(self.vertex_count), np.diff(full.indptr))
-        gather = np.flatnonzero(inside[rows] & inside[full.indices])
-        local = np.cumsum(inside) - 1       # index among interior vertices
-        indptr = np.searchsorted(local[rows[gather]], np.arange(local[-1] + 2))
-        return InteriorPattern(*_read_only(
-            indptr.astype(full.indptr.dtype),
-            local[full.indices[gather]].astype(full.indices.dtype), gather))
+    def interior_pattern(self) -> CsrPattern:
+        """The read-only interior-vertex block of `csr_pattern`, which the
+        Dirichlet matrices share; it takes from the full pattern's data."""
+        full, inside = self.csr_pattern, self.interior_vertex_indices
+        numbers = csr_matrix((np.arange(full.indices.size), full.indices,
+                              full.indptr))[inside][:, inside]
+        return CsrPattern(*_read_only(numbers.indptr, numbers.indices,
+                                      numbers.data))
 
     def require_boundary(self) -> np.ndarray:
         """The boundary vertex mask; raises MeshError on a closed mesh, which

@@ -135,9 +135,9 @@ class TestPatternAssembly:
         assert np.all(keys[1:] > keys[:-1])        # sorted, no duplicates
         # the natural layout: the diagonal, then (i, j), then (j, i) per edge
         v, (i, j) = np.arange(n), mesh.edges.T
-        assert np.array_equal(rows, np.concatenate([v, i, j])[pattern.order])
+        assert np.array_equal(rows, np.concatenate([v, i, j])[pattern.take])
         assert np.array_equal(pattern.indices,
-                              np.concatenate([v, j, i])[pattern.order])
+                              np.concatenate([v, j, i])[pattern.take])
         for arr in pattern:
             assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -178,7 +178,7 @@ class TestPatternAssembly:
             ref = A[np.ix_(interior, interior)].tocsr()
             assert np.array_equal(sub.indptr, ref.indptr)
             assert np.array_equal(sub.indices, ref.indices)
-            assert np.array_equal(A.data[sub.gather], ref.data)
+            assert np.array_equal(A.data[sub.take], ref.data)
             blocks.append(ref)
         # the shift-invert factor reads the CSR arrays of K - sigma M as
         # its CSC arrays, which holds as both patterns are symmetric
