@@ -9,12 +9,14 @@ Dirichlet problems are solved on the interior vertices; Neumann problems
 on the full matrices with the zero mode detected and excluded.  Size alone
 picks the solver: up to `DENSE_CUTOFF` dofs, and for k >= n - 1 pairs, a
 full-spectrum dense `eigh` sliced to k.  Larger ones use shift-invert
-Lanczos (`eigsh`) on one sparse LU factor of the shifted matrix, which is
-SPD and so factored in SuperLU's symmetric mode without pivoting, in
-minimum-degree order.  The Lanczos basis holds max(2k + 2, 8) vectors (at
-most n), ARPACK stops at `LANCZOS_TOL`, and the start vector is drawn
-from a fixed seed so that repeated solves agree to the last bit.  Every
-eigensolve, balancing (`balance.balance_center_of_mass`), trial sum
+Lanczos (`eigsh`) on the pencil of K and M divided by the area, whose
+spectrum, and so ARPACK's stopping test, does not move when the metric is
+rescaled, with the shift -0.1 just below it; one sparse LU factor of the
+shifted matrix, which is SPD, is made in SuperLU's symmetric mode without
+pivoting, in minimum-degree order.  The Lanczos basis holds max(2k + 2, 8)
+vectors (at most n), ARPACK stops at `LANCZOS_TOL`, and the start vector
+is drawn from a fixed seed so that repeated solves agree to the last bit.
+Every eigensolve, balancing (`balance.balance_center_of_mass`), trial sum
 (`verify.trial_bound_sum`) and `forked_map` call runs with each OpenBLAS
 capped at one thread (`single_threaded_blas`), as their last digits would
 otherwise follow the host's core count.  Residuals are normalized by the
@@ -272,25 +274,30 @@ def _solve_gevp(K, M, k: int):
         vals, vecs = eigh(K.toarray(), M.toarray())
         vals, vecs = vals[:k], vecs[:, :k]
     else:
-        # shift slightly below the spectrum; scaled with the metric so the
-        # solve is invariant under global rescaling of edge lengths
-        sigma = -0.1 / M.sum()
+        # solve K u = (lam area) (M / area) u, a pencil that does not
+        # change when the metric is rescaled: ARPACK accepts a Ritz value
+        # on an error bound with an absolute floor, so one that shrank with
+        # the metric would stop it early.  Shift slightly below the
+        # pencil's spectrum.
+        area, sigma = M.sum(), -0.1
+        Ma = M / area
         try:
-            # one factorization of K - sigma M, which is SPD for sigma < 0,
-            # so it needs no pivoting: symmetric mode keeps the diagonal as
-            # pivots on a minimum-degree ordering of its (symmetric) pattern.
-            # The matrix is symmetric, so its CSR arrays are its CSC arrays.
-            A = csc_matrix((K.data - sigma * M.data, K.indices, K.indptr),
+            # one factorization of K - sigma Ma, SPD for sigma < 0, so it
+            # needs no pivoting: symmetric mode keeps the diagonal as pivots
+            # on a minimum-degree ordering of its (symmetric) pattern.  The
+            # matrix is symmetric, so its CSR arrays are its CSC arrays.
+            A = csc_matrix((K.data - sigma * Ma.data, K.indices, K.indptr),
                            shape=(n, n))
             lu = splu(A, permc_spec="MMD_AT_PLUS_A",
                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
             # mode 3 applies only OPinv and M, so K is passed for its shape;
             # the seeded start vector makes repeated solves bit-identical
-            vals, vecs = eigsh(K, k=k, M=M, sigma=sigma,
+            vals, vecs = eigsh(K, k=k, M=Ma, sigma=sigma,
                                OPinv=LinearOperator((n, n), matvec=lu.solve,
                                                     dtype=float),
                                v0=np.random.default_rng(0).uniform(-1.0, 1.0, n),
                                ncv=min(n, max(2 * k + 2, 8)), tol=LANCZOS_TOL)
+            vals = vals / area
         except RuntimeError as exc:
             # ARPACK raises ArpackError (ArpackNoConvergence included);
             # SuperLU reports a singular shifted matrix as a RuntimeError

@@ -406,7 +406,8 @@ class TestVariationalProperties:
                                                     rel=1e-12)
 
     @pytest.mark.parametrize("path", ["dense", "sparse"])
-    @pytest.mark.parametrize("c", [1e-4, 1e-2, 1e2, 1e4])
+    @pytest.mark.parametrize("c", [1e-60, 1e-8, 1e-4, 1e-2, 1e2, 1e4, 1e8,
+                                   1e60])
     def test_metric_scaling_extremes(self, disc16, solver_path, c, path):
         # the residual check is relative to lambda, so it neither rejects
         # small metrics nor passes vacuously on large ones

@@ -178,7 +178,7 @@ class TestVerifyInequality:
     def test_scale_invariance(self, disc16):
         f = identity_map_from_positions(disc16)
         base = ms.verify_inequality(disc16, f)
-        for c in (0.1, 3.0):
+        for c in (1e-60, 1e-8, 0.1, 3.0, 1e8, 1e60):
             rep = ms.verify_inequality(disc16.scaled(c), f)
             assert rep.lhs2 == pytest.approx(base.lhs2, rel=1e-9)
             assert rep.slack2 == pytest.approx(base.slack2, rel=1e-9)
