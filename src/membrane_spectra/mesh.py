@@ -109,12 +109,15 @@ class MapSample:
 
 def _heron_areas(lengths: np.ndarray) -> np.ndarray:
     """Areas from the three side lengths (rows of `lengths`), rejecting
-    any triangle that violates the strict triangle inequality."""
+    any triangle that violates the strict triangle inequality or whose
+    Heron product is not a finite normal float."""
     a, b, c = lengths[:, 0], lengths[:, 1], lengths[:, 2]
-    f1 = a + b + c
-    f2 = -a + b + c
-    f3 = a - b + c
-    f4 = a + b - c
+    with np.errstate(all="ignore"):     # a product out of range is named below
+        f1 = a + b + c
+        f2 = -a + b + c
+        f3 = a - b + c
+        f4 = a + b - c
+        product = f1 * f2 * f3 * f4
     bad = np.flatnonzero((f2 <= 0) | (f3 <= 0) | (f4 <= 0))
     if bad.size:
         t = int(bad[0])
@@ -122,7 +125,13 @@ def _heron_areas(lengths: np.ndarray) -> np.ndarray:
             f"triangle {t} violates the strict triangle inequality: "
             f"sides {lengths[t].tolist()}"
         )
-    return 0.25 * np.sqrt(f1 * f2 * f3 * f4)
+    bad = np.flatnonzero(~((product >= np.finfo(float).tiny)
+                           & (product < np.inf)))
+    if bad.size:
+        t = int(bad[0])
+        raise MeshError(f"triangle {t} with sides {lengths[t].tolist()} has "
+                        "an area outside float64's range")
+    return 0.25 * np.sqrt(product)
 
 
 def _edge_structure(tri: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -552,7 +561,8 @@ def generate_conformal_disc(rings: int, log_factor) -> tuple[SurfaceMesh, MapSam
         raise ValueError("log-factor samples must be finite")
     i, j = tri.edges.T
     d = z[i] - z[j]
-    lens = np.hypot(d.real, d.imag) * np.exp(0.5 * (phi[i] + phi[j]))
+    with np.errstate(over="ignore"):    # SurfaceMesh names an infinite length
+        lens = np.hypot(d.real, d.imag) * np.exp(0.5 * (phi[i] + phi[j]))
     mesh = SurfaceMesh(tri, edge_lengths=lens)
     return mesh, MapSample(z, 1)
 

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+import warnings
 from functools import partial
 
 import pytest
@@ -92,14 +93,18 @@ def test_gen_rejects_an_out_of_range_float_as_a_bad_flag(tmp_path, runner,
 
 
 def test_gen_overflowing_amplitude_names_the_bad_edge(tmp_path, runner):
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        result = runner.invoke(main, ["gen", "--shape", "conformal-disc",
-                                      "--resolution", "4", "--amplitude",
-                                      "1e308", "--out", str(tmp_path / "m.json")])
-    assert result.exit_code == 1
-    assert json.loads(result.stderr)["error"] == (
-        "edge (0, 1) has length inf: edge lengths must be positive finite reals")
-    assert os.listdir(tmp_path) == []
+    for amplitude, length in (("1e308", "inf"), ("-1e308", "0.0")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["gen", "--shape", "conformal-disc",
+                                          "--resolution", "4", "--amplitude",
+                                          amplitude,
+                                          "--out", str(tmp_path / "m.json")])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["error"] == (
+            f"edge (0, 1) has length {length}: edge lengths must be positive "
+            "finite reals")
+        assert os.listdir(tmp_path) == []
 
 
 def test_gen_rejects_a_negative_seed_as_a_bad_flag(tmp_path, runner):

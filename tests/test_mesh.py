@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -454,6 +455,16 @@ class TestValidation:
         assert m.total_area() == pytest.approx(mesh.total_area() / 16, rel=1e-13)
         with pytest.raises(ValueError):
             mesh.scaled(0.0)
+
+    @pytest.mark.parametrize("c", [1e-80, 1e80])
+    def test_area_outside_the_float_range_is_a_mesh_error(self, c):
+        mesh = ms.generate_disc(12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeshError, match=re.escape(
+                    f"triangle 0 with sides {(mesh.tri_lengths()[0] * c).tolist()} "
+                    "has an area outside float64's range")):
+                mesh.scaled(c)
 
     def test_lengths_array_must_align_with_edges(self):
         with pytest.raises(MeshError, match="expected 3 edge lengths"):

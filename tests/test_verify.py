@@ -10,7 +10,7 @@ import pytest
 import membrane_spectra as ms
 from membrane_spectra import fixtures, verify as verify_module
 from membrane_spectra.transplant import (disc_map_from_positions,
-                                         identity_map_from_positions)
+                                         identity_map_from_positions, mobius)
 from membrane_spectra.verify import (FOUR_PI_3, VerificationReport,
                                      check_eq3_implication, reports_to_csv,
                                      richardson_budget)
@@ -442,3 +442,35 @@ def test_cached_triangulation_gives_the_fresh_reports(rings):
         assert fresh.triangulation is not mesh.triangulation
         assert (ms.mesh.dumps(ms.verify_inequality(fresh, f).to_json_dict())
                 == ms.mesh.dumps(ms.verify_inequality(mesh, f).to_json_dict()))
+
+
+def _relabelled(mesh, f):
+    # vertex v becomes perm[v]; the lengths go as [i, j, length] rows
+    perm = np.random.default_rng(3).permutation(mesh.vertex_count)
+    values = np.empty_like(f.values)
+    values[perm] = f.values
+    rows = np.column_stack([perm[mesh.edges], mesh.lengths])
+    return (ms.SurfaceMesh(perm[mesh.triangles], edge_lengths=rows),
+            ms.MapSample(values, f.degree))
+
+
+@pytest.mark.parametrize("name", ["disc", "hemisphere", "cap-pi3",
+                                  "conformal-0", "conformal-1", "branched"])
+def test_verdict_invariant_under_moebius_rotation_and_relabelling(name):
+    mesh, f = fixtures.instance(name, 12)
+    base = ms.verify_inequality(mesh, f)
+    reciprocal = 1 / base.lambda1 + 1 / base.mu1 + 1 / base.mu2
+    sides = abs(base.lhs2) + abs(base.rhs2)
+    variants = [(mesh, ms.MapSample(mobius(b, f.values), f.degree))
+                for b in (0.3, 0.6 + 0.2j)]
+    variants += [(mesh, ms.MapSample(np.exp(0.9j) * f.values, f.degree)),
+                 _relabelled(mesh, f)]
+    for m, g in variants:
+        rep = ms.verify_inequality(m, g)
+        for value in ("lambda1", "mu1", "mu2", "trial_sum"):
+            assert getattr(rep, value) == pytest.approx(getattr(base, value),
+                                                        rel=1e-12, abs=0)
+        for margin in ("margin_upper", "margin_lower"):
+            assert (abs(getattr(rep, margin) - getattr(base, margin))
+                    <= 1e-12 * reciprocal)
+        assert abs(rep.slack2 - base.slack2) <= 1e-12 * sides
