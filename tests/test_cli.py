@@ -2,7 +2,6 @@ import csv
 import json
 import os
 import re
-import warnings
 from functools import partial
 
 import pytest
@@ -92,14 +91,13 @@ def test_gen_rejects_an_out_of_range_float_as_a_bad_flag(tmp_path, runner,
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.filterwarnings("error")
 def test_gen_overflowing_amplitude_names_the_bad_edge(tmp_path, runner):
     for amplitude, length in (("1e308", "inf"), ("-1e308", "0.0")):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            result = runner.invoke(main, ["gen", "--shape", "conformal-disc",
-                                          "--resolution", "4", "--amplitude",
-                                          amplitude,
-                                          "--out", str(tmp_path / "m.json")])
+        result = runner.invoke(main, ["gen", "--shape", "conformal-disc",
+                                      "--resolution", "4", "--amplitude",
+                                      amplitude,
+                                      "--out", str(tmp_path / "m.json")])
         assert result.exit_code == 1
         assert json.loads(result.stderr)["error"] == (
             f"edge (0, 1) has length {length}: edge lengths must be positive "

@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -456,15 +455,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             mesh.scaled(0.0)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("c", [1e-80, 1e80])
     def test_area_outside_the_float_range_is_a_mesh_error(self, c):
         mesh = ms.generate_disc(12)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(MeshError, match=re.escape(
-                    f"triangle 0 with sides {(mesh.tri_lengths()[0] * c).tolist()} "
-                    "has an area outside float64's range")):
-                mesh.scaled(c)
+        sides = (mesh.tri_lengths()[0] * c).tolist()
+        with pytest.raises(MeshError, match=re.escape(
+                f"triangle 0 with sides {sides} has an area outside "
+                "float64's range")):
+            mesh.scaled(c)
 
     def test_lengths_array_must_align_with_edges(self):
         with pytest.raises(MeshError, match="expected 3 edge lengths"):
