@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import sys
+from contextlib import contextmanager
 from functools import partial
 
 import click
@@ -18,11 +19,27 @@ def _fail(message: str, code: int = 1):
     sys.exit(code)
 
 
-def _one_stdout(**paths):
-    """Exit 2 when both output options are '-', standard output."""
+@contextmanager
+def _outputs(**paths):
+    """Run a command's body with its output paths (None when not given)
+    checked first: two '-', standard output, exit 2; each file is opened
+    for appending, which truncates nothing, so one that cannot be written
+    exits 1 before any work; a ValueError, RuntimeError or OSError removes
+    the files this command created and exits 1 with its JSON error."""
     if list(paths.values()).count("-") > 1:
         _fail(" and ".join(f"--{name}" for name in paths)
               + " both write to standard output ('-')", code=2)
+    created = []
+    try:
+        for path in [p for p in paths.values() if p not in (None, "-")]:
+            existed = os.path.lexists(path)
+            open(path, "ab").close()
+            created += [] if existed else [path]
+        yield
+    except (ValueError, RuntimeError, OSError) as exc:
+        for path in created:
+            os.remove(path)
+        _fail(str(exc))
 
 
 def _write(path, data: bytes, mode="wb"):
@@ -67,13 +84,11 @@ def main():
               help="mesh JSON file, or '-' for stdout")
 def gen(shape, resolution, colatitude, inner_radius, seed, amplitude, out):
     """Generate a fixture mesh (with its map, when the shape defines one)."""
-    try:
+    with _outputs(out=out):
         m, f = fixtures.build(shape, resolution, colatitude=colatitude,
                               inner_radius=inner_radius, seed=seed,
                               amplitude=amplitude)
         meshmod.save_mesh(out, m, f)
-    except (ValueError, RuntimeError, OSError) as exc:
-        _fail(str(exc))
 
 
 @main.command()
@@ -85,13 +100,11 @@ def gen(shape, resolution, colatitude, inner_radius, seed, amplitude, out):
 @click.option("--out", type=click.Path(), default="-")
 def spectrum(mesh_file, bc, k, eigenfunctions, out):
     """Compute the k smallest eigenpairs of a mesh file."""
-    try:
+    with _outputs(out=out):
         m, _ = meshmod.load_mesh(mesh_file)
         solve = fem.solve_dirichlet if bc == "dirichlet" else fem.solve_neumann
         result = solve(m, k)
         _dump(out, result.to_json_dict(include_eigenfunctions=eigenfunctions))
-    except (ValueError, RuntimeError, OSError) as exc:
-        _fail(str(exc))
 
 
 def _resolve_map(m, stored, map_kind):
@@ -115,8 +128,7 @@ def _resolve_map(m, stored, map_kind):
               help="append a CSV row to this file, or '-' for stdout")
 def verify_cmd(mesh_file, map_kind, out, csv_path):
     """Verify both eigenvalue inequalities on a mesh-plus-map instance."""
-    _one_stdout(out=out, csv=csv_path)
-    try:
+    with _outputs(out=out, csv=csv_path):
         m, stored = meshmod.load_mesh(mesh_file)
         f = _resolve_map(m, stored, map_kind)
         report = verifymod.verify_inequality(m, f)
@@ -128,8 +140,6 @@ def verify_cmd(mesh_file, map_kind, out, csv_path):
                     and os.path.getsize(csv_path)):
                 text = text.split("\n", 1)[1]      # drop the header on append
             _write(csv_path, text.encode(), "ab")
-    except (ValueError, RuntimeError, OSError) as exc:
-        _fail(str(exc))
 
 
 # perfbench/workloads.py imports both names from this module
@@ -147,14 +157,7 @@ _batch_instance = fixtures.instance
 def batch(refine_levels, base_resolution, csv_path, out):
     """Run the built-in fixture battery across refinement levels
     (`verify.verify_levels`)."""
-    _one_stdout(csv=csv_path, out=out)
-    created = []        # the output files this batch made
-    try:
-        # appending truncates nothing; a path it cannot write fails here
-        for path in [p for p in (csv_path, out) if p not in (None, "-")]:
-            existed = os.path.lexists(path)
-            open(path, "ab").close()
-            created += [] if existed else [path]
+    with _outputs(csv=csv_path, out=out):
         reports = verifymod.verify_levels(
             {name: partial(fixtures.instance, name)
              for name in fixtures.BATTERY},
@@ -163,11 +166,6 @@ def batch(refine_levels, base_resolution, csv_path, out):
         if out:
             _dump(out, {key: report.to_json_dict()
                         for key, report in reports.items()})
-    except (ValueError, RuntimeError, OSError) as exc:
-        for path in created:
-            os.remove(path)
-        _fail(str(exc))
-
 
 if __name__ == "__main__":
     main()

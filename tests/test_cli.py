@@ -416,6 +416,30 @@ def test_batch_unwritable_output_fails_before_any_verdict(tmp_path, runner,
         assert csv_file.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("command", ["gen", "spectrum", "verify",
+                                     "verify --csv"])
+def test_unwritable_output_fails_before_any_work(tmp_path, runner,
+                                                 monkeypatch, command):
+    mesh_file, missing = _disc_file(tmp_path), tmp_path / "missing" / "out"
+    work = []
+    for module, name in [(fixtures, "build"), (ms.mesh, "load_mesh")]:
+        monkeypatch.setattr(module, name,
+                            lambda *args, **kwargs: work.append(args))
+    args = {"gen": ["gen", "--shape", "disc", "--resolution", "4",
+                    "--out", str(missing)],
+            "spectrum": ["spectrum", str(mesh_file), "--out", str(missing)],
+            "verify": ["verify", str(mesh_file), "--out", str(missing)],
+            # the --out file is created, then removed when --csv fails
+            "verify --csv": ["verify", str(mesh_file),
+                             "--out", str(tmp_path / "r.json"),
+                             "--csv", str(missing)]}[command]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert str(missing) in json.loads(result.stderr)["error"]
+    assert work == []
+    assert os.listdir(tmp_path) == ["disc.json"]
+
+
 @pytest.mark.parametrize("flag", ["--refine-levels", "--base-resolution"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_batch_rejects_a_count_below_one_as_a_bad_flag(tmp_path, runner, cpus,
