@@ -22,13 +22,23 @@ def _fail(message: str, code: int = 1):
 @contextmanager
 def _outputs(**paths):
     """Run a command's body with its output paths (None when not given)
-    checked first: two '-', standard output, exit 2; each file is opened
-    for appending, which truncates nothing, so one that cannot be written
-    exits 1 before any work; a ValueError, RuntimeError or OSError removes
-    the files this command created and exits 1 with its JSON error."""
-    if list(paths.values()).count("-") > 1:
-        _fail(" and ".join(f"--{name}" for name in paths)
-              + " both write to standard output ('-')", code=2)
+    checked first: two that name standard output ('-') or one regular or
+    new file exit 2; each file is opened for appending, which truncates
+    nothing, so one that cannot be written exits 1 before any work; a
+    ValueError, RuntimeError or OSError removes the files this command
+    created and exits 1 with its JSON error."""
+    seen = {}       # what an option writes to -> the option's name
+    for name, path in paths.items():
+        if path == "-":
+            target = "standard output ('-')"
+        elif path is None or os.path.exists(path) and not os.path.isfile(path):
+            continue        # not given, or a device such as /dev/null
+        else:
+            target = f"the file {os.path.realpath(path)!r}"
+        if target in seen:
+            _fail(f"--{seen[target]} and --{name} both write to {target}",
+                  code=2)
+        seen[target] = name
     created = []
     try:
         for path in [p for p in paths.values() if p not in (None, "-")]:

@@ -74,7 +74,7 @@ class MapSample:
     degree: int
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(np.asarray(self.values, dtype=complex))
+        vals = np.array(self.values, dtype=complex, order="C")     # a copy
         bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
             raise MeshError(f"map sample at vertex {bad[0]} is not finite: "
@@ -226,12 +226,12 @@ class Triangulation:
     """
 
     def __init__(self, triangles):
-        tri = np.asarray(triangles)
+        tri = np.array(triangles)       # a copy, so the caller's stays writable
         if (tri.ndim != 2 or tri.shape[1] != 3 or tri.shape[0] < 1
                 or tri.dtype.kind not in "iuf"):
             raise MeshError("triangles must be a non-empty (F, 3) index array")
-        if tri.dtype.kind == "f":       # an index given as a float is integral
-            exact = np.isfinite(tri) & (np.trunc(tri) == tri)
+        if tri.dtype.kind == "f":       # a float index is integral, below 2**63
+            exact = (np.abs(tri) < 2.0 ** 63) & (np.trunc(tri) == tri)
             bad = np.flatnonzero(~exact.all(axis=1))
             if bad.size:
                 raise MeshError(f"triangle {bad[0]} has a non-integer vertex "
@@ -240,6 +240,12 @@ class Triangulation:
         if tri.min() < 0:
             raise MeshError("negative vertex index")
         n = int(tri.max()) + 1
+        # F triangles use at most 3F vertices, so a stray large index sizes
+        # nothing: vertices past the first 3F + 5 are not looked at
+        used = np.zeros(min(n, tri.size + 5), dtype=bool)
+        used[tri[tri < used.size]] = True
+        if not used.all():
+            raise MeshError(f"unreferenced vertices: {np.flatnonzero(~used)[:5]}")
         self.triangles, self.vertex_count = tri, n
         # corner_edges[f, c] is the edge opposite corner c of triangle f
         self.edges, self.corner_edges = _edge_structure(tri, n)
@@ -259,10 +265,6 @@ class Triangulation:
         if np.any((tri[:, 0] == tri[:, 1]) | (tri[:, 1] == tri[:, 2])
                   | (tri[:, 0] == tri[:, 2])):
             raise MeshError("triangle with repeated vertex")
-        used = np.zeros(self.vertex_count, dtype=bool)
-        used[tri.ravel()] = True
-        if not used.all():
-            raise MeshError(f"unreferenced vertices: {np.flatnonzero(~used)[:5]}")
 
         counts = np.bincount(self.corner_edges.ravel(), minlength=self.edge_count)
         if counts.max() > 2:

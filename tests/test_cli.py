@@ -366,6 +366,36 @@ def test_two_outputs_to_standard_output_exit_2_before_any_work(
     assert os.listdir(tmp_path) == ["disc.json"]
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "DISC", "--map", "id", "--out", "r.txt", "--csv", "r.txt"],
+    ["verify", "DISC", "--map", "id", "--out", "./kept.txt",
+     "--csv", "kept.txt"],
+    ["batch", "--base-resolution", "4", "--refine-levels", "1",
+     "--csv", "b.txt", "--out", "b.txt"]],
+    ids=["verify", "verify-existing-file", "batch"])
+def test_two_outputs_to_one_file_exit_2_before_any_work(
+        tmp_path, runner, cpus, monkeypatch, args):
+    mesh_file = _disc_file(tmp_path)
+    (tmp_path / "kept.txt").write_text("kept\n")
+    monkeypatch.setattr(verify_module, "verify_inequality", None)
+    forks = cpus(2)
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, [str(mesh_file) if a == "DISC" else a
+                                  for a in args])
+    assert result.exit_code == 2
+    assert "both write to the file" in json.loads(result.stderr)["error"]
+    assert forks == []
+    assert sorted(os.listdir(tmp_path)) == ["disc.json", "kept.txt"]
+    assert (tmp_path / "kept.txt").read_text() == "kept\n"
+
+
+def test_several_outputs_may_name_the_null_device(tmp_path, runner):
+    result = runner.invoke(main, ["verify", str(_disc_file(tmp_path)),
+                                  "--map", "id", "--out", os.devnull,
+                                  "--csv", os.devnull])
+    assert result.exit_code == 0, result.output
+
+
 def test_batch_takes_each_fixtures_exact_degree(tmp_path, runner):
     # at rings 4 the branched map's Jacobian estimate is 1.91, not 2
     csv_file = tmp_path / "slack.csv"
@@ -629,3 +659,15 @@ def test_malformed_mesh_file_is_a_json_error(tmp_path, runner, doc, command):
     assert result.exit_code == 1
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert "mesh JSON" in json.loads(result.stderr)["error"]
+
+
+def test_far_vertex_index_is_a_json_error(tmp_path, runner):
+    mesh_file = tmp_path / "far.json"
+    mesh_file.write_text(json.dumps({
+        "triangles": [[0, 1, 2], [2, 1, 10 ** 12]],
+        "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]}))
+    result = runner.invoke(main, ["spectrum", str(mesh_file)])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert json.loads(result.stderr) == {
+        "error": "unreferenced vertices: [3 4 5 6 7]"}

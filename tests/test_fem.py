@@ -180,14 +180,14 @@ class TestPatternAssembly:
             assert np.array_equal(sub.indices, ref.indices)
             assert np.array_equal(A.data[sub.take], ref.data)
             blocks.append(ref)
-        # the shift-invert factor reads the CSR arrays of K - sigma M as
-        # its CSC arrays, which holds as both patterns are symmetric
+        # the shift-invert factor reads the CSR arrays of K - sigma M/area
+        # as its CSC arrays, which holds as both patterns are symmetric
         for A, B in ((K, M), blocks):
-            sigma = -0.1 / B.sum()
-            ref = (A - sigma * B).tocsc()
+            sigma, Ma = -0.1, B / B.sum()
+            ref = (A - sigma * Ma).tocsc()
             assert np.array_equal(ref.indptr, A.indptr)
             assert np.array_equal(ref.indices, A.indices)
-            assert np.array_equal(ref.data, A.data - sigma * B.data)
+            assert np.array_equal(ref.data, A.data - sigma * Ma.data)
 
 
 class TestAssembleStiffness:

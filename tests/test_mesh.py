@@ -5,6 +5,8 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -499,6 +501,33 @@ class TestValidation:
         assert m.positions.flags.c_contiguous and not m.positions.flags.writeable
         assert np.array_equal(m.positions, pos)
         assert np.array_equal(n.lengths, lens)
+
+    def test_triangles_and_map_samples_are_copied(self):
+        tri = np.array([[0, 1, 2]], dtype=np.int64)
+        z = np.array([1, 1j, -1], dtype=complex)
+        ms.SurfaceMesh(tri, positions=[[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+        ms.MapSample(z, 1)
+        assert tri.flags.writeable and z.flags.writeable
+
+    def test_far_vertex_index_sizes_nothing(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(MeshError, match=r"unreferenced vertices: "
+                                                r"\[3 4 5 6 7\]"):
+                ms.mesh.Triangulation([[0, 1, 2], [2, 1, 10 ** 7]])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("index", [1e300, -1e300, 2.0 ** 63])
+    def test_float_index_past_int64_is_rejected_without_a_warning(self,
+                                                                  index):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeshError, match="triangle 1 has a "
+                                                "non-integer vertex index"):
+                ms.mesh.Triangulation([[0, 1, 2], [2, 1, index]])
 
     @pytest.mark.parametrize("triangles, row", [
         ([[0, 1, 2.7]], "triangle 0 has a non-integer vertex index: "
