@@ -177,5 +177,6 @@ def batch(refine_levels, base_resolution, csv_path, out):
             _dump(out, {key: report.to_json_dict()
                         for key, report in reports.items()})
 
+
 if __name__ == "__main__":
     main()

@@ -46,6 +46,21 @@ class TestVerifyEq3:
         assert rep.rhs3 == pytest.approx(62.65, abs=0.01)
         assert rep.slack3 == pytest.approx(1.06, abs=0.01)
 
+    @pytest.mark.parametrize("lambda1, mu1, mu2, area, degree", [
+        (LAMBDA1_DISC, MU1_DISC, MU1_DISC, np.pi, 1),
+        (2.0, 2.0, 2.0, 2 * np.pi, 1), (5.8, 0.9, 3.4, 4.2, 2),
+        (1e-3, 7e2, 9e2, 3e-5, 3)])
+    def test_implication_identity(self, lambda1, mu1, mu2, area, degree):
+        # the identity check_eq3_implication rests on, with slack2 and
+        # slack3 as the report derives them
+        rep = VerificationReport(lambda1=lambda1, mu1=mu1, mu2=mu2, area=area,
+                                 degree=degree, trial_sum=0.0,
+                                 mesh_resolution="analytic")
+        c = degree * FOUR_PI_3
+        gap = rep.slack3 - lambda1 * mu1 * c * area * rep.slack2
+        assert gap == pytest.approx(c * lambda1 * (1 - mu1 / mu2), rel=1e-12,
+                                    abs=1e-12 * (abs(rep.rhs3) + abs(rep.lhs3)))
+
     def test_implication_from_eq2(self):
         rep = analytic_disc_report()
         check_eq3_implication(rep)  # must not raise
