@@ -21,16 +21,21 @@ Every eigensolve, balancing (`balance.balance_center_of_mass`), trial sum
 capped at one thread (`single_threaded_blas`), as their last digits would
 otherwise follow the host's core count.  Residuals are normalized by the
 eigenvalue, so every check is invariant under rescaling the metric, and
-every pair is still checked against `RESIDUAL_TOL`.
+every pair is still checked against `RESIDUAL_TOL`.  `forked_map`, the one
+way calls are spread over processes, starts its workers with `os.fork`:
+they take call numbers from one pipe and send pickled results back on
+another each, and no thread is started.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
+import pickle
+import select
+import selectors
 import signal
 import threading
-from concurrent.futures import Future
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
@@ -122,83 +127,177 @@ def single_threaded_blas():
                     set_(n)
 
 
-_forked_calls: list = []     # forked_map's calls, inherited by its workers
+_forking = False     # set while forked_map forks, and so in its workers
 
 
-def _forked_call(i: int):
-    fn, args = _forked_calls[i]
-    return fn(*args)
-
-
-def _run_here(fn, args) -> Future:
-    """A done Future holding fn(*args) or its error."""
-    future = Future()
-    try:
-        future.set_result(fn(*args))
-    except Exception as exc:
-        future.set_exception(exc)
-    return future
+def _call_name(fn, args) -> str:
+    return f"{getattr(fn, '__name__', fn)}({', '.join(map(repr, args))})"
 
 
 def forked_map(calls) -> list:
     """`[fn(*args) for fn, args in calls]` spread over forked worker
-    processes, with the same results, errors and error order.
+    processes, with the same results and the first error in call order.
 
     One worker runs per CPU in `os.sched_getaffinity`, never more than
     there are calls; with a CPU for every call, this process runs the last
-    call itself.  The calls run here in turn when fewer than 2 workers
-    would, where `os.fork` is missing, when the caller has other Python
-    threads (a fork copies none) and inside a worker (so workers never
-    fork again).  Every call runs under `single_threaded_blas`, so the
-    results are the same bits either way.  The calls reach the workers
-    through the fork, not pickled.  A worker that dies is an
-    EigenSolveError naming its exit status and the first call that did
-    not return.
+    call itself, and otherwise only waits, so that a call that kills its
+    process never kills the caller.  The calls run here in turn when fewer
+    than 2 workers would, where `os.fork` is missing, when the caller has
+    other Python threads (a fork copies none), inside a worker and inside
+    this process's own call (so no call forks twice).  Every call runs
+    under `single_threaded_blas`, so the results are the same bits either
+    way.  The calls reach the workers through the fork, not pickled, and
+    forked_map starts no thread.  A worker that dies is an EigenSolveError
+    naming its exit status and the first call without a result; once one
+    has died, the calls still running finish and those not yet taken, all
+    later in call order, are dropped.  Once forked_map returns, raises or
+    is interrupted, no worker is left.
     """
-    global _forked_calls
+    global _forking
     calls = list(calls)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(calls))
-    serial = (workers < 2 or not hasattr(os, "fork")
-              or threading.active_count() > 1)
-    if not serial:
-        import multiprocessing
-        serial = multiprocessing.parent_process() is not None
     with single_threaded_blas():
-        if serial:
+        if (workers < 2 or _forking or not hasattr(os, "fork")
+                or threading.active_count() > 1):
             return [fn(*args) for fn, args in calls]
-        from concurrent.futures import process
-
-        here = workers == len(calls)        # this process runs the last call
-        _forked_calls = calls
-        pool = process.ProcessPoolExecutor(
-            workers - here, mp_context=multiprocessing.get_context("fork"))
+        _forking = True
         try:
-            futures = [pool.submit(_forked_call, i)
-                       for i in range(len(calls) - here)]
-            # the submits forked every worker; kept for their exit statuses
-            processes = list(pool._processes.values())
-            futures += [_run_here(*calls[-1])] if here else []
-            results = []
-            for future, (fn, args) in zip(futures, calls):
-                try:
-                    results.append(future.result())
-                except process.BrokenProcessPool as exc:
-                    pool.shutdown()     # its thread joins every worker
-                    raise _died(fn, args, processes) from exc
-            return results
+            here = workers == len(calls)
+            outcomes, statuses = _fork_and_wait(calls, workers - here, here)
         finally:
-            pool.shutdown(cancel_futures=True)
-            _forked_calls = []
+            _forking = False
+    results = []
+    for i, (fn, args) in enumerate(calls):
+        if i not in outcomes:
+            status = ", ".join(str(s) for s in statuses if s) or 0
+            raise EigenSolveError(f"{_call_name(fn, args)} did not return: "
+                                  f"its forked worker process died "
+                                  f"(exit status {status})")
+        ok, value = outcomes[i]
+        if not ok:
+            raise value
+        results.append(value)
+    return results
 
 
-def _died(fn, args, processes) -> EigenSolveError:
-    # once one worker has died, the pool terminates the others
-    status = ", ".join(str(p.exitcode) for p in processes
-                       if p.exitcode != -signal.SIGTERM) or -signal.SIGTERM
-    call = f"{getattr(fn, '__name__', fn)}({', '.join(map(repr, args))})"
-    return EigenSolveError(f"{call} did not return: its forked worker "
-                           f"process died (exit status {status})")
+def _fork_and_wait(calls, workers: int, here: bool):
+    """`{i: (ok, value)}` for each call i that returned (ok) or raised,
+    and the exit statuses of the `workers` forked processes that took the
+    calls, in order, from a queue pipe; this process runs the last call
+    if `here`.  Every worker is killed and reaped if this raises."""
+    # one 4-byte call number per queued call.  Writes of at most PIPE_BUF
+    # bytes are whole, so a worker's 4-byte read always gets one number.
+    # The first write fills the empty pipe before any worker starts, so
+    # that none waits for this process's own call; the rest are written as
+    # the workers make room
+    queue = memoryview(b"".join(i.to_bytes(4, "little")
+                                for i in range(len(calls) - here)))
+    outcomes, statuses, pids = {}, [], {}       # pids: result pipe -> worker
+    sel = selectors.DefaultSelector()
+    qr, qw = os.pipe()
+    sel.register(qw, selectors.EVENT_WRITE)
+    try:
+        queue = queue[os.write(qw, queue[:select.PIPE_BUF]):]
+        for _ in range(workers):
+            r, w = os.pipe()
+            sel.register(r, selectors.EVENT_READ, bytearray())
+            try:
+                if (pid := os.fork()) == 0:
+                    _work(calls, qr, qw, w)     # never returns
+            finally:
+                os.close(w)
+            pids[r] = pid
+        os.set_blocking(qw, False)
+        if here:
+            fn, args = calls[-1]
+            try:
+                outcomes[len(calls) - 1] = (True, fn(*args))
+            except Exception as exc:
+                outcomes[len(calls) - 1] = (False, exc)
+        # read each result pipe as data arrives, so no worker waits on a
+        # full one, and reap each worker when it has closed its own
+        while sel.get_map():
+            for key, _ in sel.select():
+                if key.fd == qw:
+                    queue = queue[os.write(qw, queue[:select.PIPE_BUF]):]
+                    if not queue:
+                        sel.unregister(qw)
+                        os.close(qw)
+                elif data := os.read(key.fd, 1 << 20):
+                    key.data.extend(data)
+                else:
+                    sel.unregister(key.fd)
+                    os.close(key.fd)
+                    outcomes.update(_records(key.data))
+                    status = os.waitpid(pids[key.fd], 0)[1]
+                    del pids[key.fd]
+                    statuses.append(os.waitstatus_to_exitcode(status))
+                    if statuses[-1]:
+                        # a worker died: the calls no worker has taken
+                        # come after its call, so they are dropped, and
+                        # the calls before it still finish.  With no
+                        # writer left, reading the queue never blocks
+                        if qw in sel.get_map():
+                            sel.unregister(qw)
+                            os.close(qw)
+                        while os.read(qr, select.PIPE_BUF):
+                            pass
+        return outcomes, statuses
+    finally:
+        for pid in pids.values():
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):     # reaped
+                pass
+        for key in list(sel.get_map().values()):
+            os.close(key.fd)
+        sel.close()
+        os.close(qr)
+
+
+def _work(calls, qr: int, qw: int, out: int):
+    """A forked worker: run each call whose number the queue's read end
+    `qr` holds until it ends, and write to `out` an 8-byte length and the
+    pickle of (number, ok, value) for each; leaves through `os._exit`."""
+    status = 1
+    try:
+        os.close(qw)    # this copy would keep the queue from ending
+        while number := os.read(qr, 4):
+            i = int.from_bytes(number, "little")
+            fn, args = calls[i]
+            try:
+                outcome = (i, True, fn(*args))
+            except Exception as exc:
+                outcome = (i, False, exc)
+            try:
+                data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:
+                data = pickle.dumps((i, False, EigenSolveError(
+                    f"{_call_name(fn, args)} gave its forked worker process "
+                    f"a {'result' if outcome[1] else 'error'} it cannot "
+                    f"pickle: {exc!r}")))
+            view = memoryview(len(data).to_bytes(8, "little") + data)
+            while view:
+                view = view[os.write(out, view):]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _records(data: bytearray):
+    """The (number, (ok, value)) pairs in a worker's result pipe, up to
+    one cut short by the worker's death."""
+    with memoryview(data) as view:
+        start = 0
+        while start + 8 <= len(view):
+            end = start + 8 + int.from_bytes(view[start:start + 8], "little")
+            if end > len(view):
+                return
+            i, ok, value = pickle.loads(view[start + 8:end])
+            yield i, (ok, value)
+            start = end
 
 
 @dataclass
@@ -291,10 +390,12 @@ def _solve_gevp(K, M, k: int):
             lu = splu(A, permc_spec="MMD_AT_PLUS_A",
                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
             # mode 3 applies only OPinv and M, so K is passed for its shape;
-            # the seeded start vector makes repeated solves bit-identical
-            vals, vecs = eigsh(K, k=k, M=Ma, sigma=sigma,
-                               OPinv=LinearOperator((n, n), matvec=lu.solve,
-                                                    dtype=float),
+            # both are bare matvecs (a sparse M would go through scipy's
+            # matmat layers on each product), and the seeded start vector
+            # makes repeated solves bit-identical
+            mass = LinearOperator((n, n), matvec=Ma.dot, dtype=float)
+            inverse = LinearOperator((n, n), matvec=lu.solve, dtype=float)
+            vals, vecs = eigsh(K, k=k, M=mass, sigma=sigma, OPinv=inverse,
                                v0=np.random.default_rng(0).uniform(-1.0, 1.0, n),
                                ncv=min(n, max(2 * k + 2, 8)), tol=LANCZOS_TOL)
             vals = vals / area

@@ -236,6 +236,11 @@ class Triangulation:
             if bad.size:
                 raise MeshError(f"triangle {bad[0]} has a non-integer vertex "
                                 f"index: {tri[bad[0]].tolist()}")
+        if tri.dtype.kind == "u":       # an unsigned one is below 2**63 too
+            bad = np.flatnonzero((tri >= np.uint64(2 ** 63)).any(axis=1))
+            if bad.size:
+                raise MeshError(f"triangle {bad[0]} has a vertex index of "
+                                f"2**63 or more: {tri[bad[0]].tolist()}")
         tri = np.ascontiguousarray(tri, dtype=np.int64)
         if tri.min() < 0:
             raise MeshError("negative vertex index")

@@ -29,9 +29,10 @@ FOUR_PI_3 = 4.0 * np.pi / 3.0
 SAFETY = 2.0     # Richardson budget: this many times the two-level change
 # meshes of at least this many vertices may solve the Dirichlet problem in
 # a forked process while this one solves the Neumann problem (forked_map):
-# on a 2-vCPU host the fork lost 19% at 1,801 vertices, tied at 2,437 and
-# saved 0-8% at 3,169, 13% at 3,997 and 47% at 12,481
-SPLIT_MIN_VERTICES = 3000
+# on a 2-vCPU host the fork lost 0-13% at 1,519 vertices, tied at 1,801 and
+# saved 11-12% at 2,107, 1% at 2,437, 10-17% at 2,791-3,169, 22% at 3,997
+# and 36-39% at 12,481 (conformal discs, medians of 7-15 verdicts)
+SPLIT_MIN_VERTICES = 2000
 
 # the report's scalars in CSV column order, and the margins that carry a
 # Richardson budget; the JSON document, the CSV row and the budget are

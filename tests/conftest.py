@@ -113,6 +113,12 @@ def gaussian_bump_log_factor(center: complex = 0.5, amplitude: float = 1.0,
     return phi
 
 
+def assert_no_child_left():
+    """Fail if this process has a child, running or not yet reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def rotated(f, theta):
     """The map sample `f` followed by the rotation z -> e^{i theta} z."""
     return ms.MapSample(np.exp(1j * theta) * f.values, f.degree)

@@ -16,7 +16,8 @@ from membrane_spectra import fem, fixtures
 from membrane_spectra.fem import EigenSolveError
 from membrane_spectra.mesh import MeshError
 
-from conftest import J0_ZERO, J1P_ZERO, octahedron, square_mesh
+from conftest import (J0_ZERO, J1P_ZERO, assert_no_child_left, octahedron,
+                      square_mesh)
 
 
 def single_triangle_mesh(p0, p1, p2):
@@ -659,6 +660,18 @@ def _blas_threads():
     return [get() for get, _ in fem._openblas_libraries()]
 
 
+def _megabyte(i):
+    return np.full(2 ** 17, float(i))
+
+
+def _lock():
+    return threading.Lock()
+
+
+def _interrupt(*signal_handler_args):
+    raise KeyboardInterrupt
+
+
 class TestForkedMap:
     """`fem.forked_map` against the list comprehension it stands for."""
 
@@ -704,17 +717,73 @@ class TestForkedMap:
         with pytest.raises(ValueError, match="^last$"):
             fem.forked_map([(int, ()), (_fail, ("last",))])
 
-    # in the second case every call runs in a worker: once one has died
-    # the pool terminates the other, and that SIGTERM is not reported
+    # in the other cases every call runs in a worker: once one has died
+    # the other finishes its call and takes no more, so the minute-long
+    # sleep never starts, and only the dead one's status shows
     @pytest.mark.parametrize("calls", [[(_die, ()), (int, ())],
                                        [(_die, ()), (time.sleep, (0.5,)),
-                                        (int, ())]])
+                                        (int, ())],
+                                       [(_die, ()), (time.sleep, (0.5,)),
+                                        (time.sleep, (60,)), (int, ())]])
     def test_dead_worker_is_a_typed_error(self, cpus, calls):
         cpus(2)
+        start = time.monotonic()
         with pytest.raises(EigenSolveError, match=re.escape(
                 "_die() did not return: its forked worker process died "
                 "(exit status -9)")):
             fem.forked_map(calls)
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+    def test_results_larger_than_a_pipe_come_back_whole(self, cpus):
+        # both workers write 1 MB results at once, so each waits until
+        # this process drains its pipe
+        forks = cpus(2)
+        results = fem.forked_map([(_megabyte, (i,)) for i in range(4)])
+        assert len(forks) == 2
+        for i, result in enumerate(results):
+            assert np.array_equal(result, _megabyte(i))
+        assert_no_child_left()
+
+    def test_queue_longer_than_one_pipe_write(self, cpus):
+        # 3,000 call numbers take 12,000 bytes, more than one whole write,
+        # and 4 workers share them, more than this host may have CPUs
+        forks = cpus(4)
+        calls = [(int, (i,)) for i in range(3000)]
+        assert fem.forked_map(calls) == list(range(3000))
+        assert len(forks) == 4
+
+    def test_no_thread_runs_beside_this_process_s_own_call(self, cpus):
+        forks = cpus(2)
+        assert fem.forked_map([(int, ()), (threading.active_count, ())]) == [0, 1]
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("where", ["own call", "wait"])
+    def test_interrupt_leaves_no_child(self, cpus, where):
+        # the workers sleep for a minute, so the interrupt must kill them
+        cpus(2)
+        sleep = (time.sleep, (60,))
+        calls = [sleep, (_interrupt, ())] if where == "own call" else [sleep] * 3
+        handler = signal.signal(signal.SIGALRM, _interrupt)
+        start = time.monotonic()
+        try:
+            if where == "wait":
+                signal.setitimer(signal.ITIMER_REAL, 0.2)
+            with pytest.raises(KeyboardInterrupt):
+                fem.forked_map(calls)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, handler)
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+    def test_unpicklable_result_is_a_typed_error(self, cpus):
+        cpus(2)
+        with pytest.raises(EigenSolveError, match=re.escape(
+                "_lock() gave its forked worker process a result it cannot "
+                "pickle: TypeError(")):
+            fem.forked_map([(_lock, ()), (int, ())])
+        assert_no_child_left()
 
     def test_every_call_runs_on_one_blas_thread(self, cpus, blas_libs):
         for (_, set_), n in zip(blas_libs, (2, 3)):

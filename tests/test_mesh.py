@@ -529,6 +529,21 @@ class TestValidation:
                                                 "non-integer vertex index"):
                 ms.mesh.Triangulation([[0, 1, 2], [2, 1, index]])
 
+    def test_unsigned_index_past_int64_is_rejected(self):
+        # as an int64, 2**63 would wrap to a negative index
+        tri = np.array([[0, 1, 2], [2, 1, 2 ** 63]], dtype=np.uint64)
+        with pytest.raises(MeshError, match=re.escape(
+                "triangle 1 has a vertex index of 2**63 or more: "
+                "[2, 1, 9223372036854775808]")):
+            ms.mesh.Triangulation(tri)
+
+    @pytest.mark.parametrize("dtype", [np.uint64, np.int64])
+    def test_largest_int64_index_is_in_range(self, dtype):
+        tri = np.array([[0, 1, 2], [2, 1, 2 ** 63 - 1]], dtype=dtype)
+        with pytest.raises(MeshError, match=r"unreferenced vertices: "
+                                            r"\[3 4 5 6 7\]"):
+            ms.mesh.Triangulation(tri)
+
     @pytest.mark.parametrize("triangles, row", [
         ([[0, 1, 2.7]], "triangle 0 has a non-integer vertex index: "
                         r"\[0.0, 1.0, 2.7\]"),
@@ -870,7 +885,7 @@ class TestCodec:
 
     def test_package_import_does_not_load_the_codec(self):
         # the codec library is imported on first use, not with the package,
-        # and multiprocessing only by a call that may fork
+        # and multiprocessing, which forked_map does without, not at all
         code = ("import sys, membrane_spectra as ms; "
                 "ms.solve_neumann(ms.generate_disc(4), 2); "
                 "print('orjson' in sys.modules, "

@@ -15,7 +15,8 @@ from membrane_spectra.verify import (FOUR_PI_3, VerificationReport,
                                      check_eq3_implication, reports_to_csv,
                                      richardson_budget)
 
-from conftest import J0_ZERO, J1P_ZERO, octahedron, resized_map
+from conftest import (J0_ZERO, J1P_ZERO, assert_no_child_left, octahedron,
+                      resized_map)
 
 LAMBDA1_DISC = J0_ZERO ** 2
 MU1_DISC = J1P_ZERO ** 2
@@ -254,9 +255,8 @@ class TestSplit:
 
     @staticmethod
     def _no_child_left():
-        import multiprocessing
         import threading
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         assert threading.active_count() == 1
 
     @pytest.mark.parametrize("name", ["conformal-0", "branched"])
