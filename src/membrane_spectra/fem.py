@@ -457,8 +457,9 @@ def solve_neumann(mesh: SurfaceMesh, k: int) -> SpectralResult:
     zero mode is detected by threshold and excluded; returned
     eigenfunctions are projected to exact zero M-mean.
     """
-    if k < 1:
-        raise EigenSolveError("k must be >= 1")
+    if not 1 <= k < mesh.vertex_count:      # the zero mode takes one dof
+        raise EigenSolveError(f"k={k} is not in [1, {mesh.vertex_count - 1}]: "
+                              f"{mesh.vertex_count} dofs less the zero mode")
     K = assemble_stiffness(mesh)
     M = assemble_mass(mesh)
     # the zero mode and the k wanted ones; a disconnected mesh shows among

@@ -1,9 +1,9 @@
 """Oriented triangle meshes with intrinsic per-edge metrics.
 
 The mesh is the discrete stand-in for a compact bordered orientable
-surface.  Geometry is carried by positive edge lengths (vertex positions
-are optional and only used to derive lengths for embedded generators),
-so metrics without a supplied isometric embedding -- conformally scaled
+surface.  Geometry is carried by positive edge lengths, either given or
+derived from vertex positions (as the embedded generators do), so
+metrics without a supplied isometric embedding -- conformally scaled
 discs, the pulled-back branched metric -- are first-class citizens.
 
 Edge lengths are an (E,) array aligned to `SurfaceMesh.edges`, the
@@ -43,17 +43,17 @@ class Topology:
     euler_characteristic: int
 
 
-def positive_degree(value) -> int:
-    """`value` as a covering degree, an int >= 1.  Anything that is not an
-    integer (a float, a bool, a string) raises MeshError: a degree is never
-    truncated or parsed."""
+def positive_int(value, name: str) -> int:
+    """`value` as an int >= 1, the one rule for a degree, a ring count and a
+    resolution.  Anything that is not an integer (a float, a bool, a string)
+    raises MeshError naming `name`: it is never truncated or parsed."""
     try:
-        degree = operator.index(value)
+        number = operator.index(value)
     except TypeError:
-        degree = 0
-    if isinstance(value, bool) or degree < 1:
-        raise MeshError(f"degree must be a positive integer, got {value!r}")
-    return degree
+        number = 0
+    if isinstance(value, bool) or number < 1:
+        raise MeshError(f"{name} must be a positive integer, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class MapSample:
         boundary vertices on the unit circle.
     degree : int
         Stated covering degree (1 for injective maps), checked by
-        `positive_degree` and, in a verdict, against `compute_degree`.
+        `positive_int` and, in a verdict, against `compute_degree`.
     """
 
     values: np.ndarray
@@ -81,7 +81,7 @@ class MapSample:
                             f"{vals[bad[0]]}")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "degree", positive_degree(self.degree))
+        object.__setattr__(self, "degree", positive_int(self.degree, "degree"))
 
     def check_count(self, mesh: "SurfaceMesh") -> None:
         """Raise MeshError unless there is one sample per vertex of `mesh`."""
@@ -179,12 +179,30 @@ def _csr_pattern(edges: np.ndarray, n: int) -> CsrPattern:
     return CsrPattern(*_read_only(a.indptr, a.indices, a.data))
 
 
-def _match_lengths(edges: np.ndarray, n: int, pairs: np.ndarray,
-                   values: np.ndarray) -> np.ndarray:
-    """Lengths aligned to `edges` from (i, j) -> length rows in any order
-    and orientation.  A row that names no edge (or a vertex outside [0, n)),
+def _vertex_indices(rows: np.ndarray, width: int, what: str) -> np.ndarray:
+    """The first `width` columns of integer or float `rows` as int64 vertex
+    indices.  An index the cast would change (a float that is not an
+    integer in int64's range, an unsigned one of 2**63 or more) is a
+    MeshError naming its `what` row, with no warning from the cast."""
+    idx = rows[:, :width]
+    with np.errstate(invalid="ignore"):     # a changed index is named below
+        ints = np.ascontiguousarray(idx, dtype=np.int64)
+    bad = ints != idx
+    if bad.any():
+        r = int(np.argmax(bad)) // width
+        why = ("a non-integer vertex index" if rows.dtype.kind == "f"
+               else "a vertex index of 2**63 or more")
+        raise MeshError(f"{what} {r} has {why}: {rows[r].tolist()}")
+    return ints
+
+
+def _match_lengths(edges: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
+    """Lengths aligned to `edges` from [i, j, length] rows in any order
+    and orientation.  A row whose i or j is no vertex index
+    (`_vertex_indices`), that names no edge (or a vertex outside [0, n)),
     an edge with two rows of different lengths or with no row raises
     MeshError; a repeated row of the same length is harmless."""
+    pairs, values = _vertex_indices(rows, 2, "edge length row"), rows[:, 2]
     lo, hi = pairs.min(axis=1), pairs.max(axis=1)
     # a row outside [0, n) could form an edge's key; it gets -1, no edge's
     keys = np.where((lo >= 0) & (hi < n), lo * n + hi, -1)
@@ -230,18 +248,7 @@ class Triangulation:
         if (tri.ndim != 2 or tri.shape[1] != 3 or tri.shape[0] < 1
                 or tri.dtype.kind not in "iuf"):
             raise MeshError("triangles must be a non-empty (F, 3) index array")
-        if tri.dtype.kind == "f":       # a float index is integral, below 2**63
-            exact = (np.abs(tri) < 2.0 ** 63) & (np.trunc(tri) == tri)
-            bad = np.flatnonzero(~exact.all(axis=1))
-            if bad.size:
-                raise MeshError(f"triangle {bad[0]} has a non-integer vertex "
-                                f"index: {tri[bad[0]].tolist()}")
-        if tri.dtype.kind == "u":       # an unsigned one is below 2**63 too
-            bad = np.flatnonzero((tri >= np.uint64(2 ** 63)).any(axis=1))
-            if bad.size:
-                raise MeshError(f"triangle {bad[0]} has a vertex index of "
-                                f"2**63 or more: {tri[bad[0]].tolist()}")
-        tri = np.ascontiguousarray(tri, dtype=np.int64)
+        tri = _vertex_indices(tri, 3, "triangle")
         if tri.min() < 0:
             raise MeshError("negative vertex index")
         n = int(tri.max()) + 1
@@ -356,9 +363,10 @@ class Triangulation:
 
 class SurfaceMesh:
     """Oriented triangle mesh with an intrinsic metric: a `Triangulation`,
-    which other meshes may share, and this mesh's edge lengths.  The
-    triangulation's attributes (`edges`, `boundary_loops`, `csr_pattern`,
-    ...) and `require_boundary()` are the mesh's own.
+    which other meshes may share, and this mesh's edge lengths, given as
+    exactly one of `positions` and `edge_lengths`.  The triangulation's
+    attributes (`edges`, `boundary_loops`, `csr_pattern`, ...) and
+    `require_boundary()` are the mesh's own.
 
     Parameters
     ----------
@@ -367,42 +375,36 @@ class SurfaceMesh:
         triangulation built before, whose checks are not run again.
     positions : array_like, shape (V, 3), optional
         Embedded vertex coordinates, one row per vertex of the
-        triangulation.  When given and `edge_lengths` is not, edge lengths
-        are derived from them.
+        triangulation, from which the edge lengths are derived.
     edge_lengths : array_like, optional
         Positive lengths as an (E,) array aligned to `edges`; or (R, 3)
         rows [i, j, length] in any order and orientation that cover every
-        edge and name nothing else (`_match_lengths`).  Takes precedence
-        over `positions` as the metric; one of the two is required.
+        edge and name nothing else (`_match_lengths`).
     """
 
     def __init__(self, triangles, positions=None, edge_lengths=None):
+        if (positions is None) == (edge_lengths is None):
+            raise MeshError("a mesh takes exactly one metric: positions (a "
+                            "mesh file's 'vertices') or edge_lengths")
         pos = None if positions is None else _floats(
             positions, "positions must be a (V, 3) array of numbers", 3)
         t = (triangles if isinstance(triangles, Triangulation)
              else Triangulation(triangles))
-        if pos is not None and len(pos) != t.vertex_count:
-            raise MeshError(f"positions must have {t.vertex_count} rows")
         self.triangulation, self.positions = t, pos
 
-        if edge_lengths is not None:
+        if pos is not None:
+            if len(pos) != t.vertex_count:
+                raise MeshError(f"positions must have {t.vertex_count} rows")
+            d = pos[self.edges[:, 0]] - pos[self.edges[:, 1]]
+            lens = np.linalg.norm(d, axis=1)
+        else:
             lens = _floats(edge_lengths, "edge lengths must be an (E,) array "
                            "aligned to edges or (R, 3) rows [i, j, length]")
             if lens.ndim == 2 and lens.shape[1] == 3:
-                pairs = lens[:, :2].astype(np.int64)
-                if not np.array_equal(pairs, lens[:, :2]):
-                    raise MeshError("edge length rows must start with two "
-                                    "integer vertex indices")
-                lens = _match_lengths(self.edges, self.vertex_count, pairs,
-                                      lens[:, 2])
+                lens = _match_lengths(self.edges, self.vertex_count, lens)
             elif lens.shape != (self.edge_count,):
                 raise MeshError(f"expected {self.edge_count} edge lengths "
                                 f"aligned to edges, got shape {lens.shape}")
-        elif self.positions is not None:
-            d = self.positions[self.edges[:, 0]] - self.positions[self.edges[:, 1]]
-            lens = np.linalg.norm(d, axis=1)
-        else:
-            raise MeshError("one of positions / edge_lengths is required")
         bad = np.flatnonzero(~((lens > 0) & (lens < np.inf)))    # NaN too
         if bad.size:
             (i, j), length = self.edges[bad[0]], float(lens[bad[0]])
@@ -429,12 +431,10 @@ class SurfaceMesh:
         return float(self.triangle_areas.sum())
 
     def scaled(self, c: float) -> "SurfaceMesh":
-        """Copy with every edge length multiplied by c > 0."""
+        """Intrinsic copy (no positions), every edge length times c > 0."""
         if c <= 0:
             raise ValueError("scale factor must be positive")
-        pos = self.positions * c if self.positions is not None else None
-        return SurfaceMesh(self.triangulation, positions=pos,
-                           edge_lengths=self.lengths * c)
+        return SurfaceMesh(self.triangulation, edge_lengths=self.lengths * c)
 
     def descriptor(self) -> str:
         return f"V{self.vertex_count}F{self.triangles.shape[0]}"
@@ -446,8 +446,9 @@ class SurfaceMesh:
 # -- generators -------------------------------------------------------------
 
 # the disc, cap, conformal and branched meshes of one resolution share one
-# triangulation; 4 resolutions stay, as the battery and `batch` use 2 or 3
-@functools.lru_cache(maxsize=4)
+# triangulation; 4 resolutions stay, as the battery and `batch` use 2 or 3.
+# Typed, so that True or 2.0 is no hit on 1 or 2 and reaches the check
+@functools.lru_cache(maxsize=4, typed=True)
 def _disc_structure(rings: int) -> tuple[np.ndarray, Triangulation]:
     """Concentric-ring triangulation of the unit disc.
 
@@ -456,8 +457,7 @@ def _disc_structure(rings: int) -> tuple[np.ndarray, Triangulation]:
     the read-only vertex coordinates as complex numbers and the
     `Triangulation`, all triangles counterclockwise.
     """
-    if rings < 1:
-        raise ValueError(f"rings must be >= 1, got {rings}")
+    rings = positive_int(rings, "rings")
     z = [np.zeros(1, dtype=complex)]
     for k in range(1, rings + 1):
         n = 6 * k
@@ -513,8 +513,7 @@ def generate_annulus(inner_radius: float, resolution: int) -> SurfaceMesh:
     """Flat annulus {inner_radius <= |z| <= 1} (two boundary contours)."""
     if not 0.0 < inner_radius < 1.0:
         raise ValueError(f"inner_radius must lie in (0, 1), got {inner_radius}")
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
+    resolution = positive_int(resolution, "resolution")
     h = (1.0 - inner_radius) / resolution
     n = max(8, int(np.ceil(2.0 * np.pi / h)))
     ang = 2.0 * np.pi * np.arange(n) / n
@@ -543,7 +542,7 @@ def generate_branched_double_disc(rings: int) -> tuple[SurfaceMesh, MapSample]:
     the doubly-covered target disc; the origin is a cone point of total
     angle 4*pi.  Returned with the map f(z) = z**2 of degree 2.
     """
-    if rings < 2:
+    if positive_int(rings, "rings") < 2:
         raise ValueError(f"rings must be >= 2, got {rings}")
     z, tri = _disc_structure(rings)
     w = z * z
@@ -603,18 +602,11 @@ def mesh_from_json_dict(doc: dict) -> tuple[SurfaceMesh, MapSample | None]:
         raise MeshError("mesh JSON must be an object")
     if "triangles" not in doc:
         raise MeshError("mesh JSON lacks 'triangles'")
-    has_v, has_l = "vertices" in doc, "edge_lengths" in doc
-    if has_v == has_l:
-        raise MeshError("mesh JSON needs exactly one of 'vertices'/'edge_lengths'")
-    if has_v:
-        mesh = SurfaceMesh(doc["triangles"],
-                           positions=_json_array(doc["vertices"], "vertices", 3))
-    else:
-        rows = _json_array(doc["edge_lengths"], "edge_lengths", 3)
-        mesh = SurfaceMesh(doc["triangles"], edge_lengths=rows)
-    ms = None
-    if "map" in doc:
-        vals = _json_array(doc["map"], "map", 2)
+    mesh = SurfaceMesh(doc["triangles"],
+                       positions=_json_array(doc, "vertices", 3),
+                       edge_lengths=_json_array(doc, "edge_lengths", 3))
+    vals, ms = _json_array(doc, "map", 2), None
+    if vals is not None:
         ms = MapSample(vals.view(complex).ravel(), doc.get("degree", 1))
         ms.check_count(mesh)
     elif "degree" in doc:
@@ -634,9 +626,11 @@ def _floats(values, message: str, width: int = 0) -> np.ndarray:
     return arr
 
 
-def _json_array(rows, name: str, width: int) -> np.ndarray:
-    return _floats(rows, f"mesh JSON '{name}' must be a list of rows of "
-                   f"{width} numbers", width)
+def _json_array(doc: dict, name: str, width: int) -> np.ndarray | None:
+    """`doc[name]` as (R, width) float rows, or None when `doc` lacks it."""
+    return None if name not in doc else _floats(
+        doc[name], f"mesh JSON '{name}' must be a list of rows of "
+        f"{width} numbers", width)
 
 
 def dumps(doc, indent: bool = False) -> bytes:

@@ -42,7 +42,7 @@ def lift_to_hemisphere(z):
     """
     z = np.asarray(z, dtype=complex)
     r2 = (z * z.conj()).real
-    if np.any(r2 > (1.0 + _DISC_TOL) ** 2):
+    if not np.all(r2 <= (1.0 + _DISC_TOL) ** 2):  # written so that NaN fails it
         raise ValueError("lift_to_hemisphere needs |z| <= 1")
     denom = 1.0 + r2
     x1 = 2.0 * z.real / denom
@@ -54,7 +54,7 @@ def lift_to_hemisphere(z):
 def mobius(a: complex, z):
     """Disc automorphism T_a(z) = (z - a) / (1 - conj(a) z); T_a(a) = 0."""
     a = complex(a)
-    if abs(a) >= 1.0:
+    if not abs(a) < 1.0:        # written so that NaN fails it
         raise ValueError(f"Mobius parameter must satisfy |a| < 1, got |a|={abs(a)}")
     z = np.asarray(z, dtype=complex)
     return (z - a) / (1.0 - np.conj(a) * z)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import fem
 from .balance import BalanceResult, balance_center_of_mass, center_of_gravity
-from .mesh import MapSample, SurfaceMesh
+from .mesh import MapSample, MeshError, SurfaceMesh, positive_int
 from .transplant import compute_degree, transplant_coords
 
 FOUR_PI_3 = 4.0 * np.pi / 3.0
@@ -234,7 +234,11 @@ def verify_levels(instances: dict, resolutions) -> dict:
     `fem.forked_map` finest level first, so that no long verdict starts
     last; the first failure there is raised."""
     resolutions = list(resolutions)
-    if sorted(set(resolutions)) != resolutions or min(resolutions or [0]) < 1:
+    try:
+        ints = [positive_int(r, "resolution") for r in resolutions]
+    except MeshError:
+        ints = []
+    if not ints or sorted(set(ints)) != ints:
         raise ValueError(f"resolutions must be an increasing list of "
                          f"positive integers, got {resolutions}")
 

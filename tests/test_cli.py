@@ -141,6 +141,20 @@ def test_spectrum_rejects_k_below_one_as_a_bad_flag(tmp_path, runner, bc, k):
     assert "--k" in result.stderr
 
 
+def test_spectrum_neumann_k_names_the_pairs_a_mesh_has(tmp_path, runner):
+    mesh_file = tmp_path / "disc.json"
+    runner.invoke(main, ["gen", "--shape", "disc", "--resolution", "3",
+                         "--out", str(mesh_file)])
+    ok = runner.invoke(main, ["spectrum", str(mesh_file), "--bc", "neumann",
+                              "--k", "36"])
+    assert ok.exit_code == 0, ok.output
+    result = runner.invoke(main, ["spectrum", str(mesh_file), "--bc",
+                                  "neumann", "--k", "37"])
+    assert result.exit_code == 1
+    assert json.loads(result.stderr) == {
+        "error": "k=37 is not in [1, 36]: 37 dofs less the zero mode"}
+
+
 def test_spectrum_deterministic(tmp_path, runner):
     mesh_file = tmp_path / "disc.json"
     runner.invoke(main, ["gen", "--shape", "disc", "--resolution", "6",
@@ -660,6 +674,19 @@ def test_malformed_mesh_file_is_a_json_error(tmp_path, runner, doc, command):
     assert result.exit_code == 1
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert "mesh JSON" in json.loads(result.stderr)["error"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_far_row_index_is_only_a_json_error(tmp_path, runner):
+    mesh_file = tmp_path / "branched.json"
+    save_mesh(mesh_file, *fixtures.build("branched-disc", 3))
+    doc = json.loads(mesh_file.read_text())
+    doc["edge_lengths"][2] = [1e300, 2, 1.0]
+    mesh_file.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["spectrum", str(mesh_file)])
+    assert result.exit_code == 1
+    assert result.stderr == ('{"error":"edge length row 2 has a non-integer '
+                             'vertex index: [1e+300, 2.0, 1.0]"}\n')
 
 
 def test_far_vertex_index_is_a_json_error(tmp_path, runner):

@@ -303,6 +303,14 @@ class TestSolveNeumann:
         res = ms.solve_neumann(hemisphere32, 2)
         np.testing.assert_allclose(res.eigenvalues, [2.0, 2.0], rtol=5e-3)
 
+    def test_k_is_at_most_one_less_than_the_dofs(self):
+        mesh = ms.generate_disc(3)      # 37 vertices
+        res = ms.solve_neumann(mesh, 36)
+        assert res.eigenvalues.shape == (36,) and res.eigenvalues[0] > 0
+        with pytest.raises(EigenSolveError, match=re.escape(
+                "k=37 is not in [1, 36]: 37 dofs less the zero mode")):
+            ms.solve_neumann(mesh, 37)
+
     def test_zero_mode_excluded_and_zero_mean(self, disc8):
         res = ms.solve_neumann(disc8, 3)
         assert res.zero_mode_gap is not None and res.zero_mode_gap > 0

@@ -222,10 +222,27 @@ def _walk_boundary_loops(mesh):
 def test_one_ring_count_rule(make):
     before = ms.mesh._disc_structure.cache_info()
     for _ in range(2):
-        with pytest.raises(ValueError, match="^rings must be >= 1, got 0$"):
+        with pytest.raises(ValueError,
+                           match="^rings must be a positive integer, got 0$"):
             make(0)
     # both calls missed: the failed one was not cached
     assert ms.mesh._disc_structure.cache_info().hits == before.hits
+
+
+@pytest.mark.parametrize("make, name", [
+    (ms.generate_disc, "rings"),
+    (lambda rings: ms.generate_spherical_cap(1.0, rings), "rings"),
+    (lambda rings: ms.generate_conformal_disc(rings, np.real), "rings"),
+    (ms.generate_branched_double_disc, "rings"),
+    (lambda resolution: ms.generate_annulus(0.5, resolution), "resolution")],
+    ids=["disc", "cap", "conformal", "branched", "annulus"])
+@pytest.mark.parametrize("count", [2.5, True, "3", 2.0])
+def test_one_positive_integer_rule(make, name, count):
+    for rings in (1, 2):    # cached, yet no answer to True or 2.0
+        ms.mesh._disc_structure(rings)
+    with pytest.raises(MeshError, match=re.escape(
+            f"{name} must be a positive integer, got {count!r}")):
+        make(count)
 
 
 @pytest.mark.parametrize("name", ["conformal-1-2", "conformal-01",
@@ -442,8 +459,18 @@ class TestValidation:
                 "be positive finite reals")):
             ms.SurfaceMesh(disc8.triangulation, edge_lengths=lengths)
 
+    @pytest.mark.parametrize("both", [False, True], ids=["neither", "both"])
+    def test_exactly_one_metric(self, disc8, both):
+        kwargs = ({"positions": disc8.positions, "edge_lengths": disc8.lengths}
+                  if both else {})
+        for triangles in (disc8.triangulation, disc8.triangles):
+            with pytest.raises(MeshError, match="exactly one metric"):
+                ms.SurfaceMesh(triangles, **kwargs)
+
     def test_scaled(self, disc8):
         m = disc8.scaled(3.0)
+        assert m.positions is None      # a scaled copy is intrinsic
+        assert np.array_equal(m.lengths, disc8.lengths * 3.0)
         assert m.total_area() == pytest.approx(9.0 * disc8.total_area(),
                                                rel=1e-13)
 
@@ -560,6 +587,15 @@ class TestValidation:
         assert m.triangles.dtype == np.int64
         assert m.triangles.tolist() == [[0, 1, 2]]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("index", [1e300, -1e300, np.inf, np.nan, 2.5])
+    def test_non_integer_row_index_is_named_without_a_warning(self, index):
+        rows = [[0, 1, 3.0], [1, 2, 5.0], [index, 2, 4.0]]
+        with pytest.raises(MeshError, match=re.escape(
+                "edge length row 2 has a non-integer vertex index: "
+                f"{[float(index), 2.0, 4.0]}")):
+            ms.SurfaceMesh([[0, 1, 2]], edge_lengths=rows)
+
     def test_length_rows_accept_either_orientation(self):
         m = ms.SurfaceMesh([[0, 1, 2]],
                            edge_lengths=[[1, 0, 3.0], [0, 2, 4.0], [2, 1, 5.0]])
@@ -658,6 +694,19 @@ class TestJsonInterchange:
         doc["edge_lengths"] = [[0, 1, 1.0]]
         with pytest.raises(MeshError, match="exactly one"):
             ms.mesh.mesh_from_json_dict(doc)
+        del doc["edge_lengths"], doc["vertices"]
+        with pytest.raises(MeshError, match="exactly one"):
+            ms.mesh.mesh_from_json_dict(doc)
+
+    @pytest.mark.parametrize("name", [*fixtures.BATTERY, "scaled-disc"])
+    def test_roundtrip_keeps_the_metric_bit_for_bit(self, name):
+        mesh = (ms.generate_disc(8).scaled(3.0) if name == "scaled-disc"
+                else fixtures.instance(name, 6)[0])
+        doc = ms.mesh.mesh_to_json_dict(mesh)
+        for again in (doc, ms.mesh.loads(ms.mesh.dumps(doc))):
+            m2, _ = ms.mesh.mesh_from_json_dict(again)
+            assert m2.lengths.tobytes() == mesh.lengths.tobytes()
+            assert m2.total_area() == mesh.total_area()
 
     def test_rows_in_any_order_and_orientation(self, branched12):
         mesh, f = branched12

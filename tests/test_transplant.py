@@ -37,6 +37,13 @@ class TestLift:
         with pytest.raises(ValueError):
             ms.lift_to_hemisphere(1.1 + 0j)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z", [complex("nan"), complex(0.5, float("nan")),
+                                   np.array([0.5, complex("nan")])])
+    def test_rejects_nan(self, z):
+        with pytest.raises(ValueError, match=re.escape("needs |z| <= 1")):
+            ms.lift_to_hemisphere(z)
+
     @given(unit_disc_points())
     @settings(max_examples=200)
     def test_lands_on_northern_hemisphere(self, z):
@@ -60,6 +67,16 @@ class TestMobius:
     def test_rejects_large_parameter(self):
         with pytest.raises(ValueError):
             ms.mobius(1.0, 0j)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a", [complex("nan"), complex(0.1, float("nan"))])
+    def test_rejects_nan_parameter(self, disc8, a):
+        f = identity_map_from_positions(disc8)
+        for call in (lambda: ms.mobius(a, 0.5),
+                     lambda: ms.center_of_gravity(disc8, f, a),
+                     lambda: ms.transplant_coords(disc8, f, a)):
+            with pytest.raises(ValueError, match="got \\|a\\|=nan"):
+                call()
 
     @given(st.complex_numbers(max_magnitude=0.95, allow_nan=False),
            unit_disc_points())

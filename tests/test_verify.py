@@ -374,6 +374,19 @@ class TestRichardsonBudget:
                 ms.verify_levels(disc, resolutions)
         assert forks == []
 
+    @pytest.mark.parametrize("resolutions", [[8.0], [True, 2], [2, 4.0],
+                                             ["4"]])
+    def test_rejects_a_resolution_that_is_not_an_int(self, cpus,
+                                                     resolutions):
+        # one rule, mesh.positive_int, before any verdict is forked
+        forks = cpus(2)
+        disc = {"disc": partial(fixtures.instance, "disc")}
+        with pytest.raises(ValueError, match=re.escape(
+                "resolutions must be an increasing list of positive "
+                f"integers, got {resolutions}")):
+            ms.verify_levels(disc, resolutions)
+        assert forks == []
+
     def test_rejects_equal_levels(self):
         rep = ms.verify_inequality(*fixtures.instance("disc", 8))
         with pytest.raises(ValueError, match=(
@@ -452,7 +465,7 @@ class TestVerifyLevels:
 def test_cached_triangulation_gives_the_fresh_reports(rings):
     for name in fixtures.BATTERY:
         mesh, f = fixtures.instance(name, rings)
-        fresh = ms.SurfaceMesh(np.array(mesh.triangles), positions=mesh.positions,
+        fresh = ms.SurfaceMesh(np.array(mesh.triangles),
                                edge_lengths=mesh.lengths)
         assert fresh.triangulation is not mesh.triangulation
         assert (ms.mesh.dumps(ms.verify_inequality(fresh, f).to_json_dict())
