@@ -4,7 +4,8 @@ Stiffness weights are cotangents recovered from edge lengths alone via
 the law of cosines, so the assembly works for metrics without an
 embedding.  Both matrices are filled, from per-edge and per-vertex sums,
 into the symmetric CSR pattern the mesh's triangulation builds once (the
-diagonal plus both orientations of every edge), so no assembly sorts.
+diagonal plus both orientations of every edge), so no assembly sorts,
+and each is built once per mesh and kept on it with read-only data.
 Dirichlet problems are solved on the interior vertices; Neumann problems
 on the full matrices with the zero mode detected and excluded.  Size alone
 picks the solver: up to `DENSE_CUTOFF` dofs, and for k >= n - 1 pairs, a
@@ -326,8 +327,35 @@ class SpectralResult:
 def assemble_stiffness(mesh: SurfaceMesh) -> csr_matrix:
     """Cotangent-weight stiffness matrix from intrinsic edge lengths.
 
-    Symmetric positive semidefinite with zero row sums.
+    Symmetric positive semidefinite with zero row sums.  Built on the
+    mesh's first request and kept on the mesh for its lifetime, so every
+    later request returns the same matrix, whose data is read-only.
     """
+    return _kept(mesh, "_stiffness", _stiffness)
+
+
+def assemble_mass(mesh: SurfaceMesh) -> csr_matrix:
+    """Consistent P1 mass matrix: per triangle (T/12) * [[2,1,1],[1,2,1],[1,1,2]].
+
+    1^T M 1 equals the total area exactly.  Built and kept once per mesh,
+    with read-only data, as `assemble_stiffness` is.
+    """
+    return _kept(mesh, "_mass", _mass)
+
+
+def _kept(mesh: SurfaceMesh, name: str, build) -> csr_matrix:
+    """The matrix stored on `mesh` as `name`, made by `build(mesh)` with its
+    data set read-only on the first request.  Threads that race to build
+    it both return the one stored first."""
+    matrix = vars(mesh).get(name)
+    if matrix is None:
+        matrix = build(mesh)
+        matrix.data.flags.writeable = False
+        matrix = vars(mesh).setdefault(name, matrix)
+    return matrix
+
+
+def _stiffness(mesh: SurfaceMesh) -> csr_matrix:
     l2 = mesh.tri_lengths() ** 2
     # half-cotangent of the angle at corner c (opposite side c)
     w = ((l2[:, [1, 2, 0]] + l2[:, [2, 0, 1]] - l2)
@@ -341,11 +369,7 @@ def assemble_stiffness(mesh: SurfaceMesh) -> csr_matrix:
     return mesh.csr_pattern.fill(np.concatenate([diagonal, off, off]))
 
 
-def assemble_mass(mesh: SurfaceMesh) -> csr_matrix:
-    """Consistent P1 mass matrix: per triangle (T/12) * [[2,1,1],[1,2,1],[1,1,2]].
-
-    1^T M 1 equals the total area exactly.
-    """
+def _mass(mesh: SurfaceMesh) -> csr_matrix:
     area = np.repeat(mesh.triangle_areas, 3)
     off = np.bincount(mesh.corner_edges.ravel(), weights=area * (1.0 / 12.0),
                       minlength=mesh.edge_count)

@@ -366,7 +366,10 @@ class SurfaceMesh:
     which other meshes may share, and this mesh's edge lengths, given as
     exactly one of `positions` and `edge_lengths`.  The triangulation's
     attributes (`edges`, `boundary_loops`, `csr_pattern`, ...) and
-    `require_boundary()` are the mesh's own.
+    `require_boundary()` are the mesh's own.  `fem.assemble_stiffness` and
+    `fem.assemble_mass` build each matrix on the mesh's first request and
+    keep it, with read-only data, on the mesh for its lifetime: V + 2E
+    values per matrix, about 2.8 MB at 49,537 vertices.
 
     Parameters
     ----------
@@ -431,9 +434,11 @@ class SurfaceMesh:
         return float(self.triangle_areas.sum())
 
     def scaled(self, c: float) -> "SurfaceMesh":
-        """Intrinsic copy (no positions), every edge length times c > 0."""
-        if c <= 0:
-            raise ValueError("scale factor must be positive")
+        """Intrinsic copy (no positions), every edge length times c, which
+        must be a positive finite real."""
+        if not 0 < c < np.inf:      # written so that NaN fails it
+            raise ValueError(f"scale factor must be a positive finite real, "
+                             f"got {c!r}")
         return SurfaceMesh(self.triangulation, edge_lengths=self.lengths * c)
 
     def descriptor(self) -> str:
@@ -500,7 +505,7 @@ def generate_spherical_cap(colatitude: float, resolution: int) -> SurfaceMesh:
     """
     if not 0.0 < colatitude < np.pi:
         raise ValueError(f"colatitude must lie in (0, pi), got {colatitude}")
-    z, tri = _disc_structure(resolution)
+    z, tri = _disc_structure(positive_int(resolution, "resolution"))
     theta = np.abs(z) * colatitude
     phi = np.angle(z)
     pos = np.column_stack([np.sin(theta) * np.cos(phi),

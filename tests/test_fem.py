@@ -2,6 +2,7 @@ import inspect
 import os
 import re
 import signal
+import sys
 import threading
 import time
 
@@ -189,6 +190,80 @@ class TestPatternAssembly:
             assert np.array_equal(ref.indptr, A.indptr)
             assert np.array_equal(ref.indices, A.indices)
             assert np.array_equal(ref.data, A.data - sigma * Ma.data)
+
+
+class TestKeptMatrices:
+    """Each mesh's K and M are built on the first request and kept."""
+
+    @pytest.mark.parametrize("rings", [6, 26])
+    def test_one_verdict_builds_each_matrix_once(self, monkeypatch, cpus,
+                                                 rings):
+        # rings 26 goes through forked_map, which runs both of its calls
+        # in this process on one CPU
+        forks = cpus(1)
+        built = []
+        for name in ("_stiffness", "_mass"):
+            def counted(mesh, name=name, build=getattr(fem, name)):
+                built.append(name)
+                return build(mesh)
+            monkeypatch.setattr(fem, name, counted)
+        mesh, f = fixtures.instance("conformal-0", rings)
+        assert (mesh.vertex_count >= ms.verify.SPLIT_MIN_VERTICES) == (rings > 6)
+        ms.verify_inequality(mesh, f)
+        assert sorted(built) == ["_mass", "_stiffness"]
+        assert forks == []
+
+    def test_kept_matrix_is_returned_again_and_read_only(self):
+        mesh = ms.generate_disc(4)
+        for assemble in (ms.assemble_stiffness, ms.assemble_mass):
+            A = assemble(mesh)
+            before = A.data.copy()
+            assert assemble(mesh) is A
+            with pytest.raises(ValueError, match="read-only"):
+                A.data[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                A *= 2.0
+            assert np.array_equal(assemble(mesh).data, before)
+        # a scaled copy shares the triangulation but keeps its own matrices
+        scaled = mesh.scaled(2.0)
+        assert ms.assemble_mass(scaled) is not ms.assemble_mass(mesh)
+        np.testing.assert_allclose(ms.assemble_mass(scaled).data,
+                                   4.0 * ms.assemble_mass(mesh).data,
+                                   rtol=1e-14)
+
+    def test_threads_that_race_to_build_get_one_matrix(self):
+        # four threads ask a fresh mesh at once, switching every microsecond
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                mesh, got = ms.generate_disc(12), []
+                start = threading.Barrier(4)
+
+                def ask():
+                    start.wait()
+                    got.append((ms.assemble_stiffness(mesh),
+                                ms.assemble_mass(mesh)))
+
+                threads = [threading.Thread(target=ask) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                    assert not t.is_alive()
+                assert len(got) == 4
+                assert all(K is got[0][0] and M is got[0][1] for K, M in got)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("name", fixtures.BATTERY)
+    def test_matrices_requested_before_a_verdict_change_no_byte(self, name):
+        fresh, f = fixtures.instance(name, 12)
+        warm, g = fixtures.instance(name, 12)
+        ms.assemble_mass(warm)
+        ms.assemble_stiffness(warm)
+        assert (ms.mesh.dumps(ms.verify_inequality(warm, g).to_json_dict())
+                == ms.mesh.dumps(ms.verify_inequality(fresh, f).to_json_dict()))
 
 
 class TestAssembleStiffness:

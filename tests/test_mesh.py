@@ -214,16 +214,17 @@ def _walk_boundary_loops(mesh):
     return loops
 
 
-@pytest.mark.parametrize("make", [
-    ms.mesh._disc_structure, ms.generate_disc,
-    lambda rings: ms.generate_spherical_cap(np.pi / 3, rings),
-    lambda rings: ms.generate_conformal_disc(rings, np.real)],
+@pytest.mark.parametrize("make, name", [
+    (ms.mesh._disc_structure, "rings"), (ms.generate_disc, "rings"),
+    (lambda resolution: ms.generate_spherical_cap(np.pi / 3, resolution),
+     "resolution"),
+    (lambda rings: ms.generate_conformal_disc(rings, np.real), "rings")],
     ids=["structure", "disc", "cap", "conformal"])
-def test_one_ring_count_rule(make):
+def test_one_ring_count_rule(make, name):
     before = ms.mesh._disc_structure.cache_info()
     for _ in range(2):
         with pytest.raises(ValueError,
-                           match="^rings must be a positive integer, got 0$"):
+                           match=f"^{name} must be a positive integer, got 0$"):
             make(0)
     # both calls missed: the failed one was not cached
     assert ms.mesh._disc_structure.cache_info().hits == before.hits
@@ -231,7 +232,8 @@ def test_one_ring_count_rule(make):
 
 @pytest.mark.parametrize("make, name", [
     (ms.generate_disc, "rings"),
-    (lambda rings: ms.generate_spherical_cap(1.0, rings), "rings"),
+    (lambda resolution: ms.generate_spherical_cap(1.0, resolution),
+     "resolution"),
     (lambda rings: ms.generate_conformal_disc(rings, np.real), "rings"),
     (ms.generate_branched_double_disc, "rings"),
     (lambda resolution: ms.generate_annulus(0.5, resolution), "resolution")],
@@ -483,6 +485,13 @@ class TestValidation:
         assert m.total_area() == pytest.approx(mesh.total_area() / 16, rel=1e-13)
         with pytest.raises(ValueError):
             mesh.scaled(0.0)
+
+    @pytest.mark.parametrize("c", [0.0, -0.0, -1.0, float("nan"),
+                                   float("inf"), -float("inf")])
+    def test_scale_factor_must_be_a_positive_finite_real(self, disc8, c):
+        with pytest.raises(ValueError, match=re.escape(
+                f"scale factor must be a positive finite real, got {c!r}")):
+            disc8.scaled(c)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("c", [1e-80, 1e80])
