@@ -143,24 +143,23 @@ def forked_map(calls) -> list:
     there are calls; with a CPU for every call, this process runs the last
     call itself, and otherwise only waits, so that a call that kills its
     process never kills the caller.  The calls run here in turn when fewer
-    than 2 workers would, where `os.fork` is missing, when the caller has
-    other Python threads (a fork copies none), inside a worker and inside
-    this process's own call (so no call forks twice).  Every call runs
-    under `single_threaded_blas`, so the results are the same bits either
-    way.  The calls reach the workers through the fork, not pickled, and
-    forked_map starts no thread.  A worker that dies is an EigenSolveError
-    naming its exit status and the first call without a result; once one
-    has died, the calls still running finish and those not yet taken, all
-    later in call order, are dropped.  Once forked_map returns, raises or
-    is interrupted, no worker is left.
+    than 2 workers would (one CPU, or no `os.sched_getaffinity`), when the
+    caller has other Python threads (a fork copies none), inside a worker
+    and inside this process's own call (so no call forks twice).  Every
+    call runs under `single_threaded_blas`, so the results are the same
+    bits either way.  The calls reach the workers through the fork, not
+    pickled, and forked_map starts no thread.  A worker that dies is an
+    EigenSolveError naming its exit status and the first call without a
+    result; once one has died, the calls still running finish and those
+    not yet taken, all later in call order, are dropped.  Once forked_map
+    returns, raises or is interrupted, no worker is left.
     """
     global _forking
     calls = list(calls)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(calls))
     with single_threaded_blas():
-        if (workers < 2 or _forking or not hasattr(os, "fork")
-                or threading.active_count() > 1):
+        if workers < 2 or _forking or threading.active_count() > 1:
             return [fn(*args) for fn, args in calls]
         _forking = True
         try:
@@ -387,8 +386,6 @@ def _spectral_scale(K, M) -> float:
 def _solve_gevp(K, M, k: int):
     """k smallest eigenpairs of K u = lam M u (M > 0, one symmetric pattern)."""
     n = K.shape[0]
-    if k < 1 or k > n:
-        raise EigenSolveError(f"requested {k} eigenpairs from {n} dofs")
     # ARPACK needs k < n, and a Krylov basis of nearly n vectors buys
     # nothing over the dense solve
     if n <= DENSE_CUTOFF or k >= n - 1:
@@ -463,9 +460,9 @@ def solve_dirichlet(mesh: SurfaceMesh, k: int) -> SpectralResult:
     """
     mesh.require_boundary()
     interior = mesh.interior_vertex_indices
-    if interior.size < k:
-        raise EigenSolveError(
-            f"only {interior.size} interior dofs, cannot compute {k} eigenpairs")
+    if not 1 <= k <= interior.size:
+        raise EigenSolveError(f"k={k} is not in [1, {interior.size}]: "
+                              f"{interior.size} interior dofs")
     sub = mesh.interior_pattern
     vals, vecs, res = _solve_gevp(sub.fill(assemble_stiffness(mesh).data),
                                   sub.fill(assemble_mass(mesh).data), k)

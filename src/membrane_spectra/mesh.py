@@ -134,13 +134,19 @@ def _heron_areas(lengths: np.ndarray) -> np.ndarray:
     return 0.25 * np.sqrt(product)
 
 
+def _half_edges(tri: np.ndarray) -> np.ndarray:
+    """(3F, 2) half-edges: row 3f + c runs from corner c + 1 to corner
+    c + 2 of triangle f, and is the edge opposite corner c."""
+    return tri[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2)
+
+
 def _edge_structure(tri: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Unique undirected edges (i < j, lexicographic) of a triangle array
     on `n` vertices, and the (F, 3) index of the edge opposite each corner.
 
     Edges are ranked by the 1-D key i * n + j, which sorts exactly like
     the pairs (i, j)."""
-    opp = tri[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2)
+    opp = _half_edges(tri)
     keys = np.minimum(opp[:, 0], opp[:, 1]) * n + np.maximum(opp[:, 0], opp[:, 1])
     ukeys, corner_edges = np.unique(keys, return_inverse=True)
     edges = np.column_stack([ukeys // n, ukeys % n])
@@ -282,10 +288,11 @@ class Triangulation:
         if counts.max() > 2:
             raise MeshError("non-manifold edge shared by more than two triangles")
 
-        # consistent orientation: every directed half-edge occurs once
-        he = tri[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2)
-        keys = np.sort(he[:, 0] * self.vertex_count + he[:, 1])
-        if np.any(keys[1:] == keys[:-1]):
+        # consistent orientation: an edge's two half-edges run opposite ways
+        he = _half_edges(tri)
+        rising = np.bincount(self.corner_edges.ravel()[he[:, 0] < he[:, 1]],
+                             minlength=self.edge_count)
+        if np.any((counts == 2) & (rising != 1)):
             raise MeshError("inconsistent orientation: repeated directed half-edge")
 
         # triangle adjacency graph connected: triangle f is node f and
@@ -330,12 +337,9 @@ class Triangulation:
         vertex.  Raises MeshError on a closed mesh (`require_boundary`) or
         a pinched boundary."""
         self.require_boundary()
-        # the directed boundary edges, as their triangles orient them:
-        # the edge opposite corner c runs from corner c + 1 to c + 2
-        face, c = np.divmod(np.flatnonzero(
-            self.boundary_edge_mask[self.corner_edges.ravel()]), 3)
-        u = self.triangles[face, (c + 1) % 3]
-        v = self.triangles[face, (c + 2) % 3]
+        # the directed boundary edges, as their triangles orient them
+        u, v = _half_edges(self.triangles)[
+            self.boundary_edge_mask[self.corner_edges.ravel()]].T
         nxt = dict(zip(u.tolist(), v.tolist()))
         if len(nxt) < u.size:       # a vertex starts two boundary edges
             raise MeshError("non-manifold boundary at vertex "

@@ -363,8 +363,10 @@ class TestSolveDirichlet:
 
     def test_too_many_eigenpairs(self):
         m = ms.generate_disc(1)  # one interior vertex
-        with pytest.raises(EigenSolveError, match="interior"):
-            ms.solve_dirichlet(m, 2)
+        for k in (0, 2):
+            with pytest.raises(EigenSolveError, match=re.escape(
+                    f"k={k} is not in [1, 1]: 1 interior dofs")):
+                ms.solve_dirichlet(m, k)
 
 
 class TestSolveNeumann:

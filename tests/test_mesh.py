@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 import membrane_spectra as ms
 from membrane_spectra import fixtures
@@ -609,6 +611,73 @@ class TestValidation:
         m = ms.SurfaceMesh([[0, 1, 2]],
                            edge_lengths=[[1, 0, 3.0], [0, 2, 4.0], [2, 1, 5.0]])
         assert np.array_equal(m.lengths, [3.0, 4.0, 5.0])
+
+
+def _sorted_key_verdict(tri):
+    """The message of the first check of `Triangulation._validate` that
+    `tri` fails, or None, with orientation checked by the sorted-key rule
+    the half-edge count replaced: no directed key i * n + j twice."""
+    tri = np.asarray(tri, dtype=np.int64)
+    if np.any((tri[:, 0] == tri[:, 1]) | (tri[:, 1] == tri[:, 2])
+              | (tri[:, 0] == tri[:, 2])):
+        return "triangle with repeated vertex"
+    he = tri[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2)
+    edges, edge_of = np.unique(np.sort(he, axis=1), axis=0,
+                               return_inverse=True)
+    if np.bincount(edge_of.ravel()).max() > 2:
+        return "non-manifold edge shared by more than two triangles"
+    keys = np.sort(he[:, 0] * (int(tri.max()) + 1) + he[:, 1])
+    if np.any(keys[1:] == keys[:-1]):
+        return "inconsistent orientation: repeated directed half-edge"
+    nf, ne = len(tri), len(edges)
+    adj = coo_matrix((np.ones(3 * nf), (np.repeat(np.arange(nf), 3),
+                                        nf + edge_of.ravel())),
+                     shape=(nf + ne, nf + ne))
+    ncomp = connected_components(adj, directed=False)[0]
+    return None if ncomp == 1 else f"triangle adjacency graph has {ncomp} components"
+
+
+def _edited_triangulations():
+    """Valid triangle arrays and each with one triangle flipped, a third
+    triangle on one of its edges (either way round), a triangle repeated
+    (either way round) or a separate triangle added."""
+    torus = [(4 * i + j, 4 * ((i + 1) % 4) + j, 4 * ((i + 1) % 4) + (j + 1) % 4)
+             for i in range(4) for j in range(4)]
+    torus += [(a, c, a - a % 4 + (a + 1) % 4) for a, _, c in torus]
+    bases = [ms.generate_disc(3).triangles, ms.generate_annulus(0.4, 2).triangles,
+             square_mesh(3).triangles, octahedron().triangles,
+             np.array(torus), np.array([[0, 1, 2]]), np.array([[0, 1, 2], [0, 2, 1]]),
+             np.array([[0, 1, 2], [0, 2, 3]])]
+    for base in bases:
+        base = np.array(base, dtype=np.int64)
+        n = int(base.max()) + 1
+        yield base
+        for t in {0, len(base) // 2}:
+            flipped = base.copy()
+            flipped[t] = flipped[t, [0, 2, 1]]
+            a, b, _ = base[t]
+            yield flipped
+            yield np.vstack([base, [a, b, n]])
+            yield np.vstack([base, [b, a, n]])
+            yield np.vstack([base, base[t]])
+            yield np.vstack([base, base[t, ::-1]])
+        yield np.vstack([base, [n, n + 1, n + 2]])
+
+
+def test_orientation_count_agrees_with_sorted_keys():
+    verdicts = set()
+    for tri in _edited_triangulations():
+        try:
+            ms.mesh.Triangulation(tri)
+            verdict = None
+        except MeshError as exc:
+            verdict = str(exc)
+        assert verdict == _sorted_key_verdict(tri), tri.tolist()
+        verdicts.add(verdict)
+    assert verdicts == {
+        None, "non-manifold edge shared by more than two triangles",
+        "inconsistent orientation: repeated directed half-edge",
+        "triangle adjacency graph has 2 components"}
 
 
 class TestTriangulation:
