@@ -7,25 +7,29 @@ into the symmetric CSR pattern the mesh's triangulation builds once (the
 diagonal plus both orientations of every edge), so no assembly sorts,
 and each is built once per mesh and kept on it with read-only data.
 Dirichlet problems are solved on the interior vertices; Neumann problems
-on the full matrices with the zero mode detected and excluded.  Size alone
-picks the solver: up to `DENSE_CUTOFF` dofs, and for k >= n - 1 pairs, a
-full-spectrum dense `eigh` sliced to k.  Larger ones use shift-invert
-Lanczos (`eigsh`) on the pencil of K and M divided by the area, whose
-spectrum, and so ARPACK's stopping test, does not move when the metric is
-rescaled, with the shift -0.1 just below it; one sparse LU factor of the
-shifted matrix, which is SPD, is made in SuperLU's symmetric mode without
-pivoting, in minimum-degree order.  The Lanczos basis holds max(2k + 2, 8)
-vectors (at most n), ARPACK stops at `LANCZOS_TOL`, and the start vector
-is drawn from a fixed seed so that repeated solves agree to the last bit.
+on the full matrices with the zero mode detected and excluded.  Each
+checks the number k of pairs once, before any solve, and names the range
+in its EigenSolveError: 1 to the interior dofs, or 1 to the dofs less the
+zero mode.  Size alone picks the solver: up to `DENSE_CUTOFF` dofs, and
+for k >= n - 1 pairs, a full-spectrum dense `eigh` sliced to k.  Larger
+ones use shift-invert Lanczos (`eigsh`) on the pencil of K and M divided
+by the area, whose spectrum, and so ARPACK's stopping test, does not move
+when the metric is rescaled, with the shift -0.1 just below it; one
+sparse LU factor of the shifted matrix, which is SPD, is made in SuperLU's
+symmetric mode without pivoting, in minimum-degree order.  The Lanczos
+basis holds max(2k + 2, 8) vectors (at most n), ARPACK stops at
+`LANCZOS_TOL`, and the start vector is drawn from a fixed seed so that
+repeated solves agree to the last bit.
 Every eigensolve, balancing (`balance.balance_center_of_mass`), trial sum
 (`verify.trial_bound_sum`) and `forked_map` call runs with each OpenBLAS
 capped at one thread (`single_threaded_blas`), as their last digits would
 otherwise follow the host's core count.  Residuals are normalized by the
 eigenvalue, so every check is invariant under rescaling the metric, and
 every pair is still checked against `RESIDUAL_TOL`.  `forked_map`, the one
-way calls are spread over processes, starts its workers with `os.fork`:
-they take call numbers from one pipe and send pickled results back on
-another each, and no thread is started.
+way calls are spread over processes, runs them in turn on one CPU and
+otherwise starts its workers with `os.fork`: they take call numbers from
+one pipe and send pickled results back on another each, and no thread is
+started.
 """
 
 from __future__ import annotations
@@ -456,7 +460,8 @@ def solve_dirichlet(mesh: SurfaceMesh, k: int) -> SpectralResult:
 
     The matrices are filled into `mesh.interior_pattern`; eigenfunctions
     are re-embedded with exact zeros on boundary vertices.  A closed mesh
-    raises MeshError (`require_boundary`).
+    raises MeshError (`require_boundary`), and a k outside [1, interior
+    dofs] EigenSolveError.
     """
     mesh.require_boundary()
     interior = mesh.interior_vertex_indices

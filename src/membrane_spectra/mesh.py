@@ -75,6 +75,9 @@ class MapSample:
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=complex, order="C")     # a copy
+        if vals.ndim != 1:
+            raise MeshError(f"map samples must be a 1-D array, got shape "
+                            f"{vals.shape}")
         bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
             raise MeshError(f"map sample at vertex {bad[0]} is not finite: "
@@ -82,6 +85,10 @@ class MapSample:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "degree", positive_int(self.degree, "degree"))
+
+    def __reduce__(self):
+        # a copy or an unpickled sample is built, and checked, anew
+        return MapSample, (self.values, self.degree)
 
     def check_count(self, mesh: "SurfaceMesh") -> None:
         """Raise MeshError unless there is one sample per vertex of `mesh`."""
@@ -278,6 +285,10 @@ class Triangulation:
                    self.boundary_edge_mask, self.boundary_vertex_mask,
                    self.interior_vertex_indices)
 
+    def __reduce__(self):
+        # a copy or an unpickled triangulation runs the checks again
+        return Triangulation, (self.triangles,)
+
     def _validate(self):
         tri = self.triangles
         if np.any((tri[:, 0] == tri[:, 1]) | (tri[:, 1] == tri[:, 2])
@@ -424,10 +435,19 @@ class SurfaceMesh:
                    *(() if pos is None else (pos,)))
 
     def __getattr__(self, name):
-        # reached only for names the mesh lacks, which are the topology's
-        if name == "triangulation":     # unset while copying or unpickling
+        # reached only for names the mesh lacks, which are the topology's;
+        # `triangulation` is unset only before `__init__` sets it, where
+        # looking it up here would recurse without end
+        if name == "triangulation":
             raise AttributeError(name)
         return getattr(self.triangulation, name)
+
+    def __reduce__(self):
+        # a copy or an unpickled mesh is built anew, so its arrays are
+        # read-only and it builds its own matrices on first request
+        if self.positions is None:
+            return SurfaceMesh, (self.triangulation, None, self.lengths)
+        return SurfaceMesh, (self.triangulation, self.positions)
 
     def tri_lengths(self) -> np.ndarray:
         """(F, 3) side lengths; column c is the edge opposite corner c."""

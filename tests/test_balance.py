@@ -129,6 +129,20 @@ class TestBalance:
                            match="mesh has no boundary: none of its 6 vertices"):
             ms.balance_center_of_mass(m, f)
 
+    def test_singular_jacobian_stops_newton(self, bump_disc12, monkeypatch):
+        mesh, f = bump_disc12
+        jacobians = []
+
+        def singular(*args):
+            jacobians.append(args[2])
+            return np.zeros((2, 2))
+
+        monkeypatch.setattr(balance, "_jacobian", singular)
+        with pytest.raises(BalanceError, match=r"did not converge: best "
+                           r"residual .* at a = 0j$"):
+            ms.balance_center_of_mass(mesh, f)
+        assert jacobians == [0j]
+
     def test_overshooting_step_is_halved(self, monkeypatch):
         # the first Newton step from a = 0 lands at |a| = 0.997 with a
         # larger residual, and its half is taken instead

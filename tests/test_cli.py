@@ -205,6 +205,20 @@ def test_verify_csv_header_only_on_a_new_or_empty_file(tmp_path, runner,
     assert len(lines) == 2 and lines[1].startswith("disc.json,0,")
 
 
+def test_verify_stereo_map_of_a_cap_is_the_file_s_map(tmp_path, runner):
+    mesh_file = tmp_path / "cap.json"
+    runner.invoke(main, ["gen", "--shape", "cap", "--resolution", "6",
+                         "--colatitude", "1.0", "--out", str(mesh_file)])
+    reports = []
+    for i, args in enumerate([[], ["--map", "stereo"]]):
+        out = tmp_path / f"report-{i}.json"
+        result = runner.invoke(main, ["verify", str(mesh_file), *args,
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_verify_branched_from_file_map(tmp_path, runner):
     mesh_file = tmp_path / "branched.json"
     runner.invoke(main, ["gen", "--shape", "branched-disc",

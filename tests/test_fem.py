@@ -1,5 +1,6 @@
 import inspect
 import os
+import pickle
 import re
 import signal
 import sys
@@ -397,6 +398,19 @@ class TestSolveNeumann:
         for u in res.eigenfunctions.T:
             assert abs(one @ (M @ u)) < 1e-12
 
+    def test_missing_constant_mode_is_named(self, disc8, monkeypatch):
+        # every eigenvalue moved up by the first nonzero one: none is zero
+        solve = fem._solve_gevp
+
+        def shifted(K, M, k):
+            vals, vecs, res = solve(K, M, k)
+            return vals + vals[1], vecs, res
+
+        monkeypatch.setattr(fem, "_solve_gevp", shifted)
+        with pytest.raises(EigenSolveError, match="^constant Neumann mode not "
+                           "found among the smallest eigenvalues$"):
+            ms.solve_neumann(disc8, 2)
+
     def test_disconnected_reports_extra_zero_modes(self, unvalidated):
         pos = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0],
                         [5, 5, 0], [6, 5, 0], [5, 6, 0]], dtype=float)
@@ -717,6 +731,19 @@ class TestSolverAgreement:
             assert np.array_equal(getattr(results[0], name),
                                   getattr(results[1], name))
 
+    def test_unreadable_maps_file_finds_no_library(self, monkeypatch):
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(fem, "open", refuse, raising=False)
+        fem._openblas_libraries.cache_clear()
+        try:
+            assert fem._openblas_libraries() == ()
+            with fem.single_threaded_blas():    # nothing to cap or restore
+                pass
+        finally:
+            fem._openblas_libraries.cache_clear()
+
     def test_nested_blas_caps_restore_once(self, blas_libs):
         for _, set_ in blas_libs:
             set_(2)
@@ -819,6 +846,26 @@ class TestForkedMap:
             fem.forked_map(calls)
         assert time.monotonic() - start < 30
         assert_no_child_left()
+
+    def test_dead_worker_closes_a_queue_still_being_written(self, cpus):
+        # 50,001 call numbers take 200,004 bytes, more than a 64 KiB pipe
+        # holds, so some are still unwritten when the death is seen: the
+        # queue is closed, and the calls no worker took are dropped
+        cpus(2)
+        with pytest.raises(EigenSolveError, match=re.escape(
+                "_die() did not return: its forked worker process died "
+                "(exit status -9)")):
+            fem.forked_map([(_die, ())] + [(int, ())] * 50_000)
+        assert_no_child_left()
+
+    def test_records_stop_at_a_record_cut_short(self):
+        data = bytearray()
+        for i, value in enumerate(["whole", "cut short"]):
+            record = pickle.dumps((i, True, value))
+            data += len(record).to_bytes(8, "little") + record
+        first = 8 + len(pickle.dumps((0, True, "whole")))
+        for end in (len(data) - 1, first + 5, first + 12):
+            assert list(fem._records(data[:end])) == [(0, (True, "whole"))]
 
     def test_results_larger_than_a_pipe_come_back_whole(self, cpus):
         # both workers write 1 MB results at once, so each waits until

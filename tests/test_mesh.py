@@ -1,7 +1,9 @@
+import copy
 import gc
 import inspect
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -175,6 +177,11 @@ class TestConformalDisc:
             ms.generate_conformal_disc(4, lambda z: np.where(
                 np.abs(z) > 0.5, np.nan, 0.0))
 
+    def test_rejects_a_log_factor_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "expected 61 log-factor samples, got (60,)")):
+            ms.generate_conformal_disc(4, lambda z: np.zeros(z.size - 1))
+
 
 def _loop_disc_structure(rings):
     # the scalar ring zipper the vectorized `_disc_structure` replaces
@@ -255,6 +262,11 @@ def test_one_positive_integer_rule(make, name, count):
 def test_conformal_fixture_needs_the_decimal_form_of_a_seed(name):
     with pytest.raises(ValueError, match=re.escape(f"unknown fixture {name!r}")):
         fixtures.instance(name, 4)
+
+
+def test_build_rejects_an_unknown_shape():
+    with pytest.raises(ValueError, match=re.escape("unknown shape 'torus'")):
+        fixtures.build("torus", 4)
 
 
 @pytest.mark.parametrize("rings", [1, 2, 5, 13])
@@ -429,6 +441,19 @@ class TestTopologyOp:
         t = m.topology
         assert t == ms.Topology(genus_p=1, contours_r=1,
                                 euler_characteristic=-1)
+
+    def test_merged_vertices_give_a_non_integral_genus(self):
+        # interior vertices 42 and 147 of the annulus made one: every check
+        # of the triangulation passes, but chi = -1 with two contours
+        tri = ms.generate_annulus(0.4, 4).triangles.copy()
+        tri[tri == 147] = 42
+        tri[tri > 147] -= 1
+        t = ms.mesh.Triangulation(tri)
+        assert len(t.boundary_loops) == 2
+        with pytest.raises(MeshError, match=re.escape(
+                "non-integral genus from chi=-1, contours=2: mesh is "
+                "non-orientable or corrupt")):
+            t.topology
 
 
 class TestValidation:
@@ -634,19 +659,23 @@ def _sorted_key_verdict(tri):
                                         nf + edge_of.ravel())),
                      shape=(nf + ne, nf + ne))
     ncomp = connected_components(adj, directed=False)[0]
-    return None if ncomp == 1 else f"triangle adjacency graph has {ncomp} components"
+    if ncomp != 1:
+        return f"triangle adjacency graph has {ncomp} components"
+    return None
 
 
 def _edited_triangulations():
     """Valid triangle arrays and each with one triangle flipped, a third
     triangle on one of its edges (either way round), a triangle repeated
     (either way round) or a separate triangle added."""
-    torus = [(4 * i + j, 4 * ((i + 1) % 4) + j, 4 * ((i + 1) % 4) + (j + 1) % 4)
-             for i in range(4) for j in range(4)]
-    torus += [(a, c, a - a % 4 + (a + 1) % 4) for a, _, c in torus]
-    bases = [ms.generate_disc(3).triangles, ms.generate_annulus(0.4, 2).triangles,
-             square_mesh(3).triangles, octahedron().triangles,
-             np.array(torus), np.array([[0, 1, 2]]), np.array([[0, 1, 2], [0, 2, 1]]),
+    # a closed 4-by-4 torus grid, two triangles per cell
+    cell = [(4 * i + j, 4 * ((i + 1) % 4) + j, 4 * ((i + 1) % 4) + (j + 1) % 4)
+            for i in range(4) for j in range(4)]
+    torus = cell + [(a, c, a - a % 4 + (a + 1) % 4) for a, _, c in cell]
+    bases = [ms.generate_disc(3).triangles,
+             ms.generate_annulus(0.4, 2).triangles, square_mesh(3).triangles,
+             octahedron().triangles, np.array(torus), np.array([[0, 1, 2]]),
+             np.array([[0, 1, 2], [0, 2, 1]]),
              np.array([[0, 1, 2], [0, 2, 3]])]
     for base in bases:
         base = np.array(base, dtype=np.int64)
@@ -894,7 +923,69 @@ class TestJsonInterchange:
         assert a == b
 
 
+COPIERS = [pytest.param(copy.copy, id="copy"),
+           pytest.param(copy.deepcopy, id="deepcopy"),
+           pytest.param(lambda x: pickle.loads(pickle.dumps(x)), id="pickle")]
+
+
+@pytest.mark.parametrize("duplicate", COPIERS)
+class TestCopies:
+    """Copies and pickles are built by the constructors, so they are
+    checked, read-only and build their own matrices."""
+
+    def test_triangulation(self, duplicate):
+        tri = ms.generate_annulus(0.4, 3).triangulation
+        dup = duplicate(tri)
+        assert type(dup) is ms.mesh.Triangulation and dup is not tri
+        for name in ("triangles", "edges", "corner_edges",
+                     "boundary_edge_mask", "boundary_vertex_mask",
+                     "interior_vertex_indices"):
+            arr = getattr(dup, name)
+            assert np.array_equal(arr, getattr(tri, name))
+            assert not arr.flags.writeable
+        assert [loop.tolist() for loop in dup.boundary_loops] == \
+            [loop.tolist() for loop in tri.boundary_loops]
+        with pytest.raises(ValueError, match="read-only"):
+            dup.triangles[0, 0] = 1
+
+    @pytest.mark.parametrize("shape, rings", [
+        ("disc", 3), ("conformal-disc", 6), ("branched-disc", 4)])
+    def test_mesh_and_map(self, duplicate, shape, rings):
+        mesh, f = fixtures.build(shape, rings)
+        before = ms.mesh.dumps(ms.verify_inequality(mesh, f).to_json_dict())
+        K, M = ms.assemble_stiffness(mesh), ms.assemble_mass(mesh)
+        dup, g = duplicate(mesh), duplicate(f)
+        assert "_stiffness" not in vars(dup) and "_mass" not in vars(dup)
+        arrays = [(dup.lengths, mesh.lengths), (g.values, f.values),
+                  (dup.triangle_areas, mesh.triangle_areas)]
+        if mesh.positions is not None:
+            arrays.append((dup.positions, mesh.positions))
+        else:
+            assert dup.positions is None
+        for new, old in arrays:
+            assert np.array_equal(new, old) and not new.flags.writeable
+        assert g.degree == f.degree
+        dK, dM = ms.assemble_stiffness(dup), ms.assemble_mass(dup)
+        assert dK is not K and dM is not M
+        assert np.array_equal(dK.data, K.data)
+        assert np.array_equal(dM.data, M.data)
+        for arr in (dup.lengths, g.values, dK.data, dM.data):
+            with pytest.raises(ValueError, match="read-only"):
+                arr *= 2
+        after = ms.mesh.dumps(ms.verify_inequality(dup, g).to_json_dict())
+        assert after == before
+
+
 class TestMapSample:
+    @pytest.mark.parametrize("shape", [(127, 1), (1, 127), ()],
+                             ids=["column", "row", "0-d"])
+    def test_samples_must_be_one_dimensional(self, shape):
+        mesh, f = fixtures.instance("conformal-0", 6)
+        values = f.values.reshape(shape) if shape else f.values[0]
+        with pytest.raises(MeshError, match=re.escape(
+                f"map samples must be a 1-D array, got shape {shape}")):
+            ms.MapSample(values, 1)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan)])
     def test_non_finite_sample_rejected(self, bad):
         vals = np.zeros(6, dtype=complex)

@@ -122,6 +122,13 @@ class TestTransplantCoords:
                            match=f"map has {count} samples for 61 vertices"):
             ms.transplant_coords(mesh, resized_map(mesh, count))
 
+    def test_boundary_vertex_at_the_disc_center_rejected(self, disc8):
+        z = identity_map_from_positions(disc8).values.copy()
+        z[np.flatnonzero(disc8.boundary_vertex_mask)[3]] = 0.0
+        with pytest.raises(ValueError,
+                           match="boundary vertex mapped to the disc center"):
+            ms.transplant_coords(disc8, ms.MapSample(z, 1))
+
 
 class TestDirichletEnergy:
     def test_constant_is_zero(self, disc8):
@@ -228,3 +235,14 @@ class TestDiscMapFromPositions:
     def test_needs_positions(self, branched12):
         with pytest.raises(ValueError):
             disc_map_from_positions(branched12[0])
+
+    def test_south_pole_on_the_mesh_rejected(self):
+        mesh = ms.SurfaceMesh([[0, 1, 2]],
+                              positions=[[0, 0, -1], [1, 0, 0], [0, 1, 0]])
+        with pytest.raises(ValueError, match="south pole lies on the mesh"):
+            disc_map_from_positions(mesh)
+
+
+def test_identity_map_needs_positions(branched12):
+    with pytest.raises(ValueError, match="mesh carries no positions"):
+        identity_map_from_positions(branched12[0])
