@@ -243,12 +243,14 @@ def _match_lengths(edges: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
 
 
 class Triangulation:
-    """The topology of a mesh: read-only (F, 3) vertex-index triples with
-    globally consistent orientation on `vertex_count` vertices, one more
-    than the largest index, their edges and the edge opposite each corner,
-    checked once, here.  Each derived fact is one read-only attribute:
-    the boundary masks and interior indices are set here, and
-    `boundary_loops`, `topology` and both CSR patterns are cached
+    """The topology of a mesh: read-only (F, 3) vertex-index triples on
+    `vertex_count` vertices, one more than the largest index, their edges
+    and the edge opposite each corner.  They are checked once, here, to
+    form one surface: edge- and vertex-manifold (each edge in one or two
+    triangles, the triangles at each vertex one fan across shared edges),
+    consistently oriented and connected.  Each derived fact is one
+    read-only attribute: the boundary masks and interior indices are set
+    here, and `boundary_loops`, `topology` and both CSR patterns are cached
     properties (one that raises keeps nothing).  On Python 3.10 and 3.11
     their first builds wait on one lock; from 3.12 on, threads may build
     one twice, which is harmless: the package starts no threads, and
@@ -295,25 +297,39 @@ class Triangulation:
                   | (tri[:, 0] == tri[:, 2])):
             raise MeshError("triangle with repeated vertex")
 
-        counts = np.bincount(self.corner_edges.ravel(), minlength=self.edge_count)
-        if counts.max() > 2:
+        edge_of = self.corner_edges.ravel()     # the edge of each half-edge
+        if np.bincount(edge_of).max() > 2:
             raise MeshError("non-manifold edge shared by more than two triangles")
 
-        # consistent orientation: an edge's two half-edges run opposite ways
-        he = _half_edges(tri)
-        rising = np.bincount(self.corner_edges.ravel()[he[:, 0] < he[:, 1]],
-                             minlength=self.edge_count)
-        if np.any((counts == 2) & (rising != 1)):
+        # the half-edges a[k] and b[k] of each interior edge sit side by side
+        # in edge order; across the edge, the corner at the first end of each
+        # (`_half_edges` of the corner numbers) meets the last of the other
+        order = np.argsort(edge_of, kind="stable")
+        pair = np.diff(edge_of[order]) == 0
+        a, b = order[:-1][pair], order[1:][pair]
+        first, last = _half_edges(np.arange(tri.size).reshape(-1, 3)).T
+        u, w = np.r_[first[a], first[b]], np.r_[last[b], last[a]]
+        at = tri.ravel()        # the vertex of each corner
+        # consistent orientation: an edge's two half-edges run opposite ways,
+        # so that corners that meet sit at one vertex
+        if np.any(at[u] != at[w]):
             raise MeshError("inconsistent orientation: repeated directed half-edge")
 
-        # triangle adjacency graph connected: triangle f is node f and
-        # edge e node F + e of the graph linking each triangle to its edges
-        nf = tri.shape[0]
-        nodes = nf + self.edge_count
-        adj = coo_matrix((np.ones(3 * nf), (np.repeat(np.arange(nf), 3),
-                                            nf + self.corner_edges.ravel())),
-                         shape=(nodes, nodes))
-        ncomp, _ = connected_components(adj, directed=False)
+        # the corners at a vertex that meet form its fans: a surface has one
+        # fan per vertex, a pinched vertex two or more
+        nfans, fan = connected_components(
+            csr_matrix((np.ones(u.size), (u, w)), shape=(tri.size, tri.size)),
+            directed=False)
+        if nfans > self.vertex_count:
+            fans = np.bincount(at[np.unique(fan, return_index=True)[1]])
+            v = int(np.argmax(fans > 1))
+            raise MeshError(f"pinched vertex {v}: its triangles form {fans[v]} fans")
+
+        # with one fan per vertex, the edge graph has the triangle adjacency
+        # graph's components
+        n, (i, j) = self.vertex_count, self.edges.T
+        ncomp, _ = connected_components(
+            csr_matrix((np.ones(i.size), (i, j)), shape=(n, n)), directed=False)
         if ncomp != 1:
             raise MeshError(f"triangle adjacency graph has {ncomp} components")
 
@@ -345,16 +361,13 @@ class Triangulation:
     def boundary_loops(self) -> tuple:
         """Boundary components as read-only int64 arrays of vertex cycles,
         oriented with the surface on the left, each from its smallest
-        vertex.  Raises MeshError on a closed mesh (`require_boundary`) or
-        a pinched boundary."""
+        vertex.  Raises MeshError on a closed mesh (`require_boundary`)."""
         self.require_boundary()
-        # the directed boundary edges, as their triangles orient them
+        # the directed boundary edges, as their triangles orient them; each
+        # boundary vertex, having one fan, starts one and ends one
         u, v = _half_edges(self.triangles)[
             self.boundary_edge_mask[self.corner_edges.ravel()]].T
         nxt = dict(zip(u.tolist(), v.tolist()))
-        if len(nxt) < u.size:       # a vertex starts two boundary edges
-            raise MeshError("non-manifold boundary at vertex "
-                            f"{np.flatnonzero(np.bincount(u) > 1)[0]}")
         loops = []
         while nxt:
             loop = [min(nxt)]
@@ -365,15 +378,12 @@ class Triangulation:
 
     @functools.cached_property
     def topology(self) -> Topology:
+        """Genus p, contours r and Euler characteristic chi = 2 - 2p - r.
+        Raises MeshError on a closed mesh (`require_boundary`)."""
         chi = self.vertex_count - self.edge_count + self.triangles.shape[0]
         r = len(self.boundary_loops)
-        two_p = 2 - chi - r
-        if two_p < 0 or two_p % 2 != 0:
-            raise MeshError(
-                f"non-integral genus from chi={chi}, contours={r}: "
-                "mesh is non-orientable or corrupt"
-            )
-        return Topology(genus_p=two_p // 2, contours_r=r, euler_characteristic=chi)
+        return Topology(genus_p=(2 - chi - r) // 2, contours_r=r,
+                        euler_characteristic=chi)
 
 
 class SurfaceMesh:

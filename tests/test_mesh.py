@@ -308,12 +308,12 @@ class TestBoundaryLoops:
         with pytest.raises(ValueError, match="read-only"):
             loops[0][0] = 1     # a caller cannot change the kept loops
 
-    def test_pinched_boundary_rejected(self, unvalidated):
-        # two triangles sharing only vertex 0
+    def test_pinched_boundary_rejected(self):
+        # two triangles sharing only vertex 0: no walk ever sees them
         pos = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]]
-        m = ms.SurfaceMesh([[0, 1, 2], [0, 3, 4]], positions=pos)
-        with pytest.raises(MeshError, match="non-manifold boundary at vertex 0"):
-            m.boundary_loops
+        with pytest.raises(MeshError, match="^pinched vertex 0: its "
+                           "triangles form 2 fans$"):
+            ms.SurfaceMesh([[0, 1, 2], [0, 3, 4]], positions=pos)
 
     def test_disc_one_loop(self):
         loops = ms.generate_disc(4).boundary_loops
@@ -346,20 +346,18 @@ class TestBoundaryLoops:
                            "its 4 vertices is a boundary vertex$"):
             m.boundary_loops
 
-    def test_failed_walk_raises_on_every_access(self, unvalidated):
+    def test_failed_walk_raises_on_every_access(self):
         tetrahedron = ms.SurfaceMesh(
             [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]],
             positions=[[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
-        pinched = ms.SurfaceMesh(
-            [[0, 1, 2], [0, 3, 4]],
-            positions=[[0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]])
-        for m, message in ((tetrahedron, "mesh has no boundary"),
-                           (pinched, "non-manifold")):
-            for _ in range(2):
-                with pytest.raises(MeshError, match=message):
-                    m.boundary_loops
-                with pytest.raises(MeshError, match=message):
-                    m.topology
+        for _ in range(2):
+            with pytest.raises(MeshError, match="mesh has no boundary"):
+                tetrahedron.boundary_loops
+            with pytest.raises(MeshError, match="mesh has no boundary"):
+                tetrahedron.topology
+            # a pinched mesh is refused on every attempt to build it
+            with pytest.raises(MeshError, match="pinched vertex 0"):
+                ms.mesh.Triangulation([[0, 1, 2], [0, 3, 4]])
 
     def test_closed_mesh_fails_in_one_place(self):
         m = octahedron()
@@ -443,17 +441,39 @@ class TestTopologyOp:
                                 euler_characteristic=-1)
 
     def test_merged_vertices_give_a_non_integral_genus(self):
-        # interior vertices 42 and 147 of the annulus made one: every check
-        # of the triangulation passes, but chi = -1 with two contours
-        tri = ms.generate_annulus(0.4, 4).triangles.copy()
-        tri[tri == 147] = 42
-        tri[tri > 147] -= 1
-        t = ms.mesh.Triangulation(tri)
-        assert len(t.boundary_loops) == 2
-        with pytest.raises(MeshError, match=re.escape(
-                "non-integral genus from chi=-1, contours=2: mesh is "
-                "non-orientable or corrupt")):
-            t.topology
+        # interior vertices 42 and 147 of the annulus made one: chi = -1
+        # with the annulus's two contours would give 2p = 1, so the pinched
+        # vertex is refused before any topology is read
+        tri = _merged(ms.generate_annulus(0.4, 4).triangles, 42, 147)
+        edges = np.unique(np.sort(tri[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2),
+                                  axis=1), axis=0)
+        assert tri.max() + 1 - len(edges) + len(tri) == -1
+        with pytest.raises(MeshError, match="^pinched vertex 42: its "
+                           "triangles form 2 fans$"):
+            ms.mesh.Triangulation(tri)
+
+
+def _merged(triangles, keep, gone):
+    """`triangles` with vertex `gone` made `keep`, later indices shifted."""
+    tri = np.array(triangles)
+    tri[tri == gone] = keep
+    tri[tri > gone] -= 1
+    return tri
+
+
+@pytest.mark.parametrize("make, keep, gone, on_boundary", [
+    (lambda: ms.generate_disc(8), 10, 40, [False, False]),
+    (lambda: ms.generate_disc(8), 10, 190, [False, True]),
+    (lambda: ms.generate_disc(8), 169, 193, [True, True]),
+    (lambda: ms.generate_annulus(0.4, 4), 42, 147, [False, False])],
+    ids=["interior-interior", "interior-boundary", "boundary-boundary",
+         "annulus"])
+def test_pinched_vertex_is_refused_when_built(make, keep, gone, on_boundary):
+    mesh = make()
+    assert mesh.boundary_vertex_mask[[keep, gone]].tolist() == on_boundary
+    with pytest.raises(MeshError, match=f"^pinched vertex {keep}: its "
+                       "triangles form 2 fans$"):
+        ms.mesh.Triangulation(_merged(mesh.triangles, keep, gone))
 
 
 class TestValidation:
@@ -641,7 +661,9 @@ class TestValidation:
 def _sorted_key_verdict(tri):
     """The message of the first check of `Triangulation._validate` that
     `tri` fails, or None, with orientation checked by the sorted-key rule
-    the half-edge count replaced: no directed key i * n + j twice."""
+    the half-edge pairs replaced: no directed key i * n + j twice.  No
+    array `_edited_triangulations` makes has a pinched vertex, so the fan
+    rule is left out."""
     tri = np.asarray(tri, dtype=np.int64)
     if np.any((tri[:, 0] == tri[:, 1]) | (tri[:, 1] == tri[:, 2])
               | (tri[:, 0] == tri[:, 2])):
