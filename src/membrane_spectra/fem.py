@@ -8,13 +8,14 @@ diagonal plus both orientations of every edge), so no assembly sorts,
 and each is built once per mesh and kept on it with read-only data.
 Dirichlet problems are solved on the interior vertices; Neumann problems
 on the full matrices with the zero mode detected and excluded.  Each
-checks the number k of pairs once, before any solve, and names the range
-in its EigenSolveError: 1 to the interior dofs, or 1 to the dofs less the
-zero mode.  Size alone picks the solver: up to `DENSE_CUTOFF` dofs, and
-for k >= n - 1 pairs, a full-spectrum dense `eigh` sliced to k.  Larger
-ones use shift-invert Lanczos (`eigsh`) on the pencil of K and M divided
-by the area, whose spectrum, and so ARPACK's stopping test, does not move
-when the metric is rescaled, with the shift -0.1 just below it; one
+reads the number k of pairs through `mesh.positive_int` and checks its
+range once, before any solve, naming it in its EigenSolveError: 1 to the
+interior dofs, or 1 to the dofs less the zero mode.  Size alone picks the
+solver: up to `DENSE_CUTOFF` dofs, and for k >= n - 1 pairs, a
+full-spectrum dense `eigh` sliced to k.  Larger ones use shift-invert
+Lanczos (`eigsh`) on the pencil of K and M divided by the area, whose
+spectrum, and so ARPACK's stopping test, does not move when the metric
+is rescaled, with the shift -0.1 just below it; one
 sparse LU factor of the shifted matrix, which is SPD, is made in SuperLU's
 symmetric mode without pivoting, in minimum-degree order.  The Lanczos
 basis holds max(2k + 2, 8) vectors (at most n), ARPACK stops at
@@ -50,7 +51,7 @@ from scipy.linalg import eigh
 from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
-from .mesh import SurfaceMesh
+from .mesh import SurfaceMesh, positive_int
 
 DENSE_CUTOFF = 300           # dofs above which the sparse path is used
 RESIDUAL_TOL = 1e-8          # ||K u - lam M u|| / (lam ||M u||)
@@ -460,12 +461,13 @@ def solve_dirichlet(mesh: SurfaceMesh, k: int) -> SpectralResult:
 
     The matrices are filled into `mesh.interior_pattern`; eigenfunctions
     are re-embedded with exact zeros on boundary vertices.  A closed mesh
-    raises MeshError (`require_boundary`), and a k outside [1, interior
-    dofs] EigenSolveError.
+    or a k that is not a positive integer (`positive_int`) raises
+    MeshError, and a k above the interior dofs EigenSolveError.
     """
+    k = positive_int(k, "k")
     mesh.require_boundary()
     interior = mesh.interior_vertex_indices
-    if not 1 <= k <= interior.size:
+    if k > interior.size:
         raise EigenSolveError(f"k={k} is not in [1, {interior.size}]: "
                               f"{interior.size} interior dofs")
     sub = mesh.interior_pattern
@@ -481,15 +483,20 @@ def solve_neumann(mesh: SurfaceMesh, k: int) -> SpectralResult:
 
     The Neumann condition is natural and never imposed.  The constant
     zero mode is detected by threshold and excluded; returned
-    eigenfunctions are projected to exact zero M-mean.
+    eigenfunctions are projected to exact zero M-mean.  A k that is not a
+    positive integer (`positive_int`) raises MeshError, and a k of the
+    vertex count or more EigenSolveError.
     """
-    if not 1 <= k < mesh.vertex_count:      # the zero mode takes one dof
+    k = positive_int(k, "k")
+    if k >= mesh.vertex_count:      # the zero mode takes one dof
         raise EigenSolveError(f"k={k} is not in [1, {mesh.vertex_count - 1}]: "
                               f"{mesh.vertex_count} dofs less the zero mode")
     K = assemble_stiffness(mesh)
     M = assemble_mass(mesh)
-    # the zero mode and the k wanted ones; a disconnected mesh shows among
-    # them as a second zero mode, or as no eigenvalue above the floor
+    # the zero mode and the k wanted ones.  A built mesh is one connected
+    # surface, so an extra zero mode, or no eigenvalue above the floor, no
+    # longer comes from a mesh that was built: only from one whose checks
+    # were skipped, or from a failed solve
     vals, vecs, res = _solve_gevp(K, M, k + 1)
 
     above = vals > ZERO_FLOOR_REL * _spectral_scale(K, M)

@@ -364,9 +364,12 @@ class TestSolveDirichlet:
 
     def test_too_many_eigenpairs(self):
         m = ms.generate_disc(1)  # one interior vertex
-        for k in (0, 2):
-            with pytest.raises(EigenSolveError, match=re.escape(
-                    f"k={k} is not in [1, 1]: 1 interior dofs")):
+        with pytest.raises(EigenSolveError, match=re.escape(
+                "k=2 is not in [1, 1]: 1 interior dofs")):
+            ms.solve_dirichlet(m, 2)
+        for k in (0, 2.5, 2.0, True, "3"):
+            with pytest.raises(MeshError, match=re.escape(
+                    f"k must be a positive integer, got {k!r}")):
                 ms.solve_dirichlet(m, k)
 
 
@@ -388,6 +391,10 @@ class TestSolveNeumann:
         with pytest.raises(EigenSolveError, match=re.escape(
                 "k=37 is not in [1, 36]: 37 dofs less the zero mode")):
             ms.solve_neumann(mesh, 37)
+        for k in (0, 2.5, 2.0, True, "3"):
+            with pytest.raises(MeshError, match=re.escape(
+                    f"k must be a positive integer, got {k!r}")):
+                ms.solve_neumann(mesh, k)
 
     def test_zero_mode_excluded_and_zero_mean(self, disc8):
         res = ms.solve_neumann(disc8, 3)
