@@ -147,17 +147,20 @@ def _half_edges(tri: np.ndarray) -> np.ndarray:
     return tri[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2)
 
 
-def _edge_structure(tri: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _edge_structure(tri: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     """Unique undirected edges (i < j, lexicographic) of a triangle array
-    on `n` vertices, and the (F, 3) index of the edge opposite each corner.
-
-    Edges are ranked by the 1-D key i * n + j, which sorts exactly like
-    the pairs (i, j)."""
+    on `n` vertices, the (F, 3) index of the edge opposite each corner and
+    the half-edges in edge order, all from one stable sort of the 1-D keys
+    i * n + j, which sort exactly like the pairs (i, j)."""
     opp = _half_edges(tri)
     keys = np.minimum(opp[:, 0], opp[:, 1]) * n + np.maximum(opp[:, 0], opp[:, 1])
-    ukeys, corner_edges = np.unique(keys, return_inverse=True)
-    edges = np.column_stack([ukeys // n, ukeys % n])
-    return edges, corner_edges.reshape(-1, 3)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.r_[True, keys[1:] != keys[:-1]]        # an edge's first half-edge
+    corner_edges = np.empty_like(order)
+    corner_edges[order] = np.cumsum(new) - 1
+    edges = np.column_stack([keys[new] // n, keys[new] % n])
+    return edges, corner_edges.reshape(-1, 3), order
 
 
 def _read_only(*arrays) -> tuple:
@@ -275,9 +278,9 @@ class Triangulation:
             raise MeshError(f"unreferenced vertices: {np.flatnonzero(~used)[:5]}")
         self.triangles, self.vertex_count = tri, n
         # corner_edges[f, c] is the edge opposite corner c of triangle f
-        self.edges, self.corner_edges = _edge_structure(tri, n)
+        self.edges, self.corner_edges, order = _edge_structure(tri, n)
         self.edge_count = self.edges.shape[0]
-        self._validate()
+        self._validate(order)
         # every edge is opposite some corner, so the count has E entries
         self.boundary_edge_mask = np.bincount(self.corner_edges.ravel()) == 1
         self.boundary_vertex_mask = np.zeros(n, dtype=bool)
@@ -291,7 +294,7 @@ class Triangulation:
         # a copy or an unpickled triangulation runs the checks again
         return Triangulation, (self.triangles,)
 
-    def _validate(self):
+    def _validate(self, order):
         tri = self.triangles
         if np.any((tri[:, 0] == tri[:, 1]) | (tri[:, 1] == tri[:, 2])
                   | (tri[:, 0] == tri[:, 2])):
@@ -302,9 +305,9 @@ class Triangulation:
             raise MeshError("non-manifold edge shared by more than two triangles")
 
         # the half-edges a[k] and b[k] of each interior edge sit side by side
-        # in edge order; across the edge, the corner at the first end of each
-        # (`_half_edges` of the corner numbers) meets the last of the other
-        order = np.argsort(edge_of, kind="stable")
+        # in `order`, which lists the half-edges in edge order; across the
+        # edge, the corner at the first end of each (`_half_edges` of the
+        # corner numbers) meets the last of the other
         pair = np.diff(edge_of[order]) == 0
         a, b = order[:-1][pair], order[1:][pair]
         first, last = _half_edges(np.arange(tri.size).reshape(-1, 3)).T

@@ -75,7 +75,8 @@ def solver_path(monkeypatch):
 def unvalidated(monkeypatch):
     """Meshes built in the test skip the triangulation's checks, so that a
     solver or walk can be shown an invalid mesh."""
-    monkeypatch.setattr(mesh.Triangulation, "_validate", lambda self: None)
+    monkeypatch.setattr(mesh.Triangulation, "_validate",
+                        lambda self, order: None)
 
 
 @pytest.fixture(scope="session")
