@@ -619,16 +619,15 @@ def generate_conformal_disc(rings: int, log_factor) -> tuple[SurfaceMesh, MapSam
 
 def mesh_to_json_dict(mesh: SurfaceMesh, map_sample: MapSample | None = None) -> dict:
     """The mesh JSON document of `mesh` and `map_sample`, which must have
-    one sample per vertex (`MapSample.check_count`)."""
+    one sample per vertex (`MapSample.check_count`); `edge_lengths` is
+    the (E,) list aligned to `edges`."""
     if map_sample is not None:
         map_sample.check_count(mesh)
     doc: dict = {"triangles": mesh.triangles.tolist()}
     if mesh.positions is not None:
         doc["vertices"] = mesh.positions.tolist()
     else:
-        # object columns so that rows hold Python ints and floats
-        doc["edge_lengths"] = np.column_stack(
-            [mesh.edges.astype(object), mesh.lengths.astype(object)]).tolist()
+        doc["edge_lengths"] = mesh.lengths.tolist()
     if map_sample is not None:
         vals = map_sample.values
         doc["map"] = np.column_stack([vals.real, vals.imag]).tolist()
@@ -637,16 +636,16 @@ def mesh_to_json_dict(mesh: SurfaceMesh, map_sample: MapSample | None = None) ->
 
 
 def mesh_from_json_dict(doc: dict) -> tuple[SurfaceMesh, MapSample | None]:
-    """Inverse of `mesh_to_json_dict`; `edge_lengths` rows may come in any
-    order and orientation, a map with no `degree` states degree 1, and a
-    `degree` with no map is a MeshError."""
+    """Inverse of `mesh_to_json_dict`, which also reads `edge_lengths` as
+    [i, j, length] rows in any order and orientation; a map with no
+    `degree` states degree 1, and a `degree` with no map is a MeshError."""
     if not isinstance(doc, dict):
         raise MeshError("mesh JSON must be an object")
     if "triangles" not in doc:
         raise MeshError("mesh JSON lacks 'triangles'")
     mesh = SurfaceMesh(doc["triangles"],
                        positions=_json_array(doc, "vertices", 3),
-                       edge_lengths=_json_array(doc, "edge_lengths", 3))
+                       edge_lengths=_json_array(doc, "edge_lengths"))
     vals, ms = _json_array(doc, "map", 2), None
     if vals is not None:
         ms = MapSample(vals.view(complex).ravel(), doc.get("degree", 1))
@@ -668,11 +667,11 @@ def _floats(values, message: str, width: int = 0) -> np.ndarray:
     return arr
 
 
-def _json_array(doc: dict, name: str, width: int) -> np.ndarray | None:
-    """`doc[name]` as (R, width) float rows, or None when `doc` lacks it."""
+def _json_array(doc: dict, name: str, width: int = 0) -> np.ndarray | None:
+    """`doc[name]` as floats, (R, width) rows for a width; None if absent."""
+    rows = f"rows of {width} numbers" if width else "numbers or of [i, j, length] rows"
     return None if name not in doc else _floats(
-        doc[name], f"mesh JSON '{name}' must be a list of rows of "
-        f"{width} numbers", width)
+        doc[name], f"mesh JSON '{name}' must be a list of {rows}", width)
 
 
 def dumps(doc, indent: bool = False) -> bytes:

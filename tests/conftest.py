@@ -185,6 +185,23 @@ def octahedron():
     return ms.SurfaceMesh(tris, positions=pos)
 
 
+def rows_document(mesh, map_sample=None):
+    """The mesh JSON document that versions before the aligned form wrote,
+    built without `mesh_to_json_dict`: an intrinsic mesh's lengths are
+    rows [i, j, length] in edge order, and every number is a Python int
+    or float."""
+    doc = {"triangles": [[int(v) for v in t] for t in mesh.triangles]}
+    if mesh.positions is None:
+        doc["edge_lengths"] = [[int(i), int(j), float(length)] for (i, j), length
+                               in zip(mesh.edges, mesh.lengths)]
+    else:
+        doc["vertices"] = [[float(x) for x in p] for p in mesh.positions]
+    if map_sample is not None:
+        doc["map"] = [[float(z.real), float(z.imag)] for z in map_sample.values]
+        doc["degree"] = int(map_sample.degree)
+    return doc
+
+
 def resized_map(mesh, count):
     """The identity map of a flat disc mesh cut to, or padded with the
     point 0.5 to, `count` samples."""

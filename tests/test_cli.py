@@ -12,7 +12,7 @@ from membrane_spectra import fem, fixtures, save_mesh
 from membrane_spectra import verify as verify_module
 from membrane_spectra.cli import main
 
-from conftest import BAD_ROWS, assert_no_child_left, octahedron
+from conftest import BAD_ROWS, assert_no_child_left, octahedron, rows_document
 
 
 @pytest.fixture()
@@ -667,8 +667,7 @@ def test_verify_non_finite_token_fails_cleanly(tmp_path, runner, value, token):
 @pytest.mark.parametrize("bad, message", BAD_ROWS)
 def test_row_naming_no_edge_is_a_json_error(tmp_path, runner, bad, message):
     mesh_file = tmp_path / "branched.json"
-    save_mesh(mesh_file, *fixtures.build("branched-disc", 3))
-    doc = json.loads(mesh_file.read_text())
+    doc = rows_document(*fixtures.build("branched-disc", 3))
     doc["edge_lengths"].append(bad)
     mesh_file.write_text(json.dumps(doc))
     result = runner.invoke(main, ["verify", str(mesh_file)])
@@ -693,14 +692,59 @@ def test_malformed_mesh_file_is_a_json_error(tmp_path, runner, doc, command):
 @pytest.mark.filterwarnings("error")
 def test_far_row_index_is_only_a_json_error(tmp_path, runner):
     mesh_file = tmp_path / "branched.json"
-    save_mesh(mesh_file, *fixtures.build("branched-disc", 3))
-    doc = json.loads(mesh_file.read_text())
+    doc = rows_document(*fixtures.build("branched-disc", 3))
     doc["edge_lengths"][2] = [1e300, 2, 1.0]
     mesh_file.write_text(json.dumps(doc))
     result = runner.invoke(main, ["spectrum", str(mesh_file)])
     assert result.exit_code == 1
     assert result.stderr == ('{"error":"edge length row 2 has a non-integer '
                              'vertex index: [1e+300, 2.0, 1.0]"}\n')
+
+
+@pytest.mark.parametrize("shape", fixtures.SHAPES)
+def test_rows_and_aligned_files_give_one_verdict(tmp_path, runner, shape):
+    aligned, rows = tmp_path / "aligned.json", tmp_path / "rows.json"
+    result = runner.invoke(main, ["gen", "--shape", shape, "--resolution", "4",
+                                  "--out", str(aligned)])
+    assert result.exit_code == 0, result.output
+    rows.write_bytes(ms.mesh.dumps(rows_document(*fixtures.build(shape, 4))))
+    if shape in ("disc", "cap", "annulus"):
+        # an embedded mesh's file has no edge lengths to change
+        assert aligned.read_bytes() == rows.read_bytes()
+    a, b = ms.load_mesh(aligned)[0], ms.load_mesh(rows)[0]
+    assert a.edges.tobytes() == b.edges.tobytes()
+    assert a.lengths.tobytes() == b.lengths.tobytes()
+    for command in (["verify"], ["spectrum", "--bc", "neumann", "--k", "3"]):
+        first, second = (runner.invoke(main, command + [str(path)])
+                         for path in (aligned, rows))
+        assert (second.exit_code, second.stdout, second.stderr) == \
+            (first.exit_code, first.stdout, first.stderr)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("edit, message", [
+    (lambda lens: lens[:-1], "expected 90 edge lengths aligned to edges, "
+                             "got shape (89,)"),
+    (lambda lens: lens + [1.0], "expected 90 edge lengths aligned to edges, "
+                                "got shape (91,)"),
+    (lambda lens: lens[:2] + [[0, 1, 1.0]] + lens[2:],
+     "mesh JSON 'edge_lengths' must be a list of numbers or of [i, j, "
+     "length] rows"),
+    (lambda lens: {"0": lens[0]},
+     "mesh JSON 'edge_lengths' must be a list of numbers or of [i, j, "
+     "length] rows")], ids=["one-short", "one-over", "ragged", "mapping"])
+def test_wrong_aligned_lengths_are_only_a_json_error(tmp_path, runner, edit,
+                                                     message):
+    mesh_file = tmp_path / "branched.json"
+    save_mesh(mesh_file, *fixtures.build("branched-disc", 3))    # 90 edges
+    doc = json.loads(mesh_file.read_text())
+    doc["edge_lengths"] = edit(doc["edge_lengths"])
+    mesh_file.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["verify", str(mesh_file)])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == json.dumps({"error": message},
+                                       separators=(",", ":")) + "\n"
 
 
 def test_far_vertex_index_is_a_json_error(tmp_path, runner):

@@ -19,7 +19,8 @@ import membrane_spectra as ms
 from membrane_spectra import fixtures
 from membrane_spectra.mesh import MeshError
 
-from conftest import BAD_ROWS, octahedron, resized_map, square_mesh
+from conftest import (BAD_ROWS, octahedron, resized_map, rows_document,
+                      square_mesh)
 
 
 def polygon_area(n):
@@ -885,9 +886,33 @@ class TestJsonInterchange:
             assert m2.lengths.tobytes() == mesh.lengths.tobytes()
             assert m2.total_area() == mesh.total_area()
 
+    @pytest.mark.parametrize("name", ["branched-disc", "conformal-disc",
+                                      "scaled-annulus", "relabelled"])
+    def test_written_lengths_follow_the_sorted_edge_pairs(self, name):
+        if name == "scaled-annulus":
+            mesh = ms.generate_annulus(0.4, 3).scaled(2.5)
+        elif name == "relabelled":      # edges far from the generator's order
+            disc = ms.generate_conformal_disc(4, fixtures.random_log_factor(2))[0]
+            perm = np.random.default_rng(5).permutation(disc.vertex_count)
+            rows = [[perm[i], perm[j], length]
+                    for (i, j), length in zip(disc.edges, disc.lengths)]
+            mesh = ms.SurfaceMesh(perm[disc.triangles[::-1]], edge_lengths=rows)
+        else:
+            mesh = fixtures.build(name, 5)[0]
+        written = ms.mesh.mesh_to_json_dict(mesh)["edge_lengths"]
+        pairs = sorted({(min(u, v), max(u, v))
+                        for t in mesh.triangles.tolist()
+                        for u, v in zip(t, t[1:] + t[:1])})
+        assert len(written) == len(pairs)
+        assert all(type(length) is float for length in written)
+        # matched by name, the rows give the mesh its own lengths
+        named = ms.SurfaceMesh(mesh.triangles, edge_lengths=[
+            [i, j, length] for (i, j), length in zip(pairs, written)])
+        assert named.lengths.tobytes() == mesh.lengths.tobytes()
+
     def test_rows_in_any_order_and_orientation(self, branched12):
         mesh, f = branched12
-        doc = ms.mesh.mesh_to_json_dict(mesh, f)
+        doc = rows_document(mesh, f)
         rows = doc["edge_lengths"]
         rng = np.random.default_rng(11)
         shuffled = [rows[k] for k in rng.permutation(len(rows))]
@@ -899,14 +924,14 @@ class TestJsonInterchange:
 
     def test_missing_edge_named(self, branched12):
         mesh, _ = branched12
-        doc = ms.mesh.mesh_to_json_dict(mesh)
+        doc = rows_document(mesh)
         i, j, _ = doc["edge_lengths"].pop(17)
         with pytest.raises(MeshError, match=rf"missing edge length for edge \({i}, {j}\)"):
             ms.mesh.mesh_from_json_dict(doc)
 
     def test_conflicting_rows_rejected(self, branched12):
         mesh, _ = branched12
-        doc = ms.mesh.mesh_to_json_dict(mesh)
+        doc = rows_document(mesh)
         i, j, length = doc["edge_lengths"][5]
         # a repeated row with the same length is harmless
         same = dict(doc, edge_lengths=doc["edge_lengths"] + [[j, i, length]])
@@ -920,13 +945,13 @@ class TestJsonInterchange:
     @pytest.mark.parametrize("bad, message", BAD_ROWS)
     def test_row_naming_no_edge_rejected(self, bad, message):
         mesh, _ = ms.generate_branched_double_disc(3)      # 37 vertices
-        rows = ms.mesh.mesh_to_json_dict(mesh)["edge_lengths"]
+        rows = rows_document(mesh)["edge_lengths"]
         with pytest.raises(MeshError, match=rf"row {len(rows)} {message}"):
             ms.SurfaceMesh(mesh.triangles, edge_lengths=rows + [bad])
 
     def test_out_of_range_row_is_not_matched_to_an_edge(self):
         mesh, _ = ms.generate_branched_double_disc(3)
-        doc = ms.mesh.mesh_to_json_dict(mesh)
+        doc = rows_document(mesh)
         n = mesh.vertex_count
         # (i - 1) * n + (j + n) is edge (i, j)'s key i * n + j
         i, j, length = doc["edge_lengths"].pop(-1)
@@ -976,11 +1001,12 @@ class TestJsonInterchange:
             ms.mesh.mesh_from_json_dict(doc)
 
     def test_indented_file_loads_the_same(self, tmp_path, bump_disc12):
-        # files written with indent=2 (the earlier `gen` format) still load
+        # files written with indent=2 and rows (an earlier `gen` format)
+        # still load
         mesh, f = bump_disc12
         path = tmp_path / "indented.json"
-        path.write_text(json.dumps(ms.mesh.mesh_to_json_dict(mesh, f),
-                                   sort_keys=True, indent=2))
+        path.write_text(json.dumps(rows_document(mesh, f), sort_keys=True,
+                                   indent=2))
         m2, f2 = ms.load_mesh(path)
         assert np.array_equal(m2.triangles, mesh.triangles)
         assert np.array_equal(m2.lengths, mesh.lengths)
@@ -1094,16 +1120,18 @@ class TestCodec:
     @pytest.mark.parametrize("shape", fixtures.SHAPES)
     def test_every_shape_roundtrips_exactly(self, tmp_path, shape, writer):
         mesh, f = fixtures.build(shape, 6)
-        doc = ms.mesh.mesh_to_json_dict(mesh, f)
         path = tmp_path / "mesh.json"
         if writer == "codec":
             ms.save_mesh(path, mesh, f)
             # same schema and values, whatever the number spelling
-            assert json.loads(path.read_text()) == doc
+            assert json.loads(path.read_text()) == \
+                ms.mesh.mesh_to_json_dict(mesh, f)
         else:
-            # the compact and indented files of the earlier stdlib writer
+            # the compact and indented files of the earlier stdlib writer,
+            # whose intrinsic meshes carry [i, j, length] rows
             indent = 2 if writer == "stdlib-indent" else None
-            path.write_text(json.dumps(doc, sort_keys=True, indent=indent) + "\n")
+            path.write_text(json.dumps(rows_document(mesh, f), sort_keys=True,
+                                       indent=indent) + "\n")
         m2, f2 = ms.load_mesh(path)
         assert np.array_equal(m2.triangles, mesh.triangles)
         assert np.array_equal(m2.edges, mesh.edges)
